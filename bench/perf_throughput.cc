@@ -33,7 +33,6 @@
 #include "data/zipf.h"
 #include "join/multi_join.h"
 #include "hash/lookup3.h"
-#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace ccf {
@@ -1095,11 +1094,11 @@ BENCHMARK(BM_PredicateOnlyDerivation);
 // --- Roofline row ------------------------------------------------------------
 
 // Expected DRAM bytes touched per batched predicate probe, from table
-// geometry + the fixture's measured batch mix: both buckets of the pair
-// are scanned (present keys still read both — the predicate rarely
-// matches; absent keys miss both), and each bucket touches its slot-run
-// lines plus one occupancy-bitmap line. A contiguous B-bit field at a
-// random bit offset touches 1 + (B-1)/512 cache lines in expectation.
+// geometry: both buckets' slot-run lines (present keys still read both —
+// the predicate rarely matches; absent keys miss both) plus the primary
+// bucket's occupancy line, which only keys with a fingerprint candidate
+// read (counted for every probe: an upper bound). A contiguous B-bit field
+// at a random bit offset touches 1 + (B-1)/512 cache lines in expectation.
 double RooflineBytesPerProbe(const CcfConfig& c) {
   const double line_bits = 512.0;
   const int slot_bits = c.key_fp_bits + c.num_attrs * c.attr_fp_bits;
@@ -1108,8 +1107,7 @@ double RooflineBytesPerProbe(const CcfConfig& c) {
   const double slot_lines = 1.0 + (bucket_bits - 1.0) / line_bits;
   const double occ_lines =
       1.0 + (static_cast<double>(c.slots_per_bucket) - 1.0) / line_bits;
-  const double buckets_per_probe = 2.0;  // measured mix (see above)
-  return buckets_per_probe * (slot_lines + occ_lines) * 64.0;
+  return (2.0 * slot_lines + occ_lines) * 64.0;
 }
 
 // Synthesizes the roofline row against the measured BM_HotLookupBatch
@@ -1130,13 +1128,12 @@ void AppendRooflineRow(bench::JsonRowsReporter* reporter) {
   char row[512];
   std::snprintf(
       row, sizeof(row),
-      "  {\"name\": \"Roofline\", \"label\": \"chained-batched-lookup "
-      "tier=%s\", \"aggregate\": \"\", \"iterations\": 0, "
+      "  {\"name\": \"Roofline\", \"label\": \"chained-batched-lookup\", "
+      "\"aggregate\": \"\", \"iterations\": 0, "
       "\"real_time_ms\": 0, \"keys_per_second\": 0, \"ns_per_key\": 0, "
       "\"table_mb\": %.3f, \"bytes_per_probe\": %.1f, \"dram_gbs\": %.2f, "
       "\"roofline_kps\": %.1f, \"measured_kps\": %.1f, "
       "\"roofline_fraction\": %.4f}",
-      SimdTierName(ActiveSimdTier()),
       static_cast<double>(f.ccf->SizeInBits()) / 8.0 / 1e6, bytes_per_probe,
       dram_gbs, roofline_kps, measured, fraction);
   std::printf(

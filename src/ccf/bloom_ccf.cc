@@ -314,9 +314,6 @@ void BloomCcf::LookupBatchBroadcast(std::span<const uint64_t> keys,
     return true;
   };
 
-  // Single-wave: with a selective predicate a primary-only sketch match is
-  // rare, so the alt-deferring two-wave flavour does not pay here (see
-  // PlainCcf::LookupBatchBroadcast).
   BatchResolve(keys, out, [&](size_t, const BucketPair& pair, uint32_t fp) {
     return ScanPairWithFp(pair, fp, entry_matches).second;
   });

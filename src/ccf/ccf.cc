@@ -331,11 +331,10 @@ void CcfBase::ContainsKeyBatch(std::span<const uint64_t> keys,
                                std::span<bool> out) const {
   CCF_DCHECK(out.size() == keys.size());
   // Key-only membership is "any occupied copy in the pair" for every
-  // variant (§7.1), which is exactly the two-wave shape: a primary-bucket
-  // copy settles the key without ever fetching the alt bucket.
-  BatchResolveTwoWave(
-      keys, out, [](uint64_t, int) { return true; },
-      [](uint32_t, const BucketPair&, int) { return false; });
+  // variant (§7.1), so the same resolver serves all of them.
+  BatchResolve(keys, out, [&](size_t, const BucketPair& pair, uint32_t fp) {
+    return ContainsKeyInPair(pair, fp);
+  });
 }
 
 bool CcfBase::ContainsKeyAddressedExcluding(

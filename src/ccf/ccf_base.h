@@ -6,7 +6,6 @@
 #define CCF_CCF_CCF_BASE_H_
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
@@ -122,7 +121,14 @@ class CcfBase : public ConditionalCuckooFilter {
   /// ContainsKey for a pre-hashed key (§7.1: identical for every variant —
   /// the first bucket pair always holds a copy of a present key).
   bool ContainsKeyAddressed(uint64_t bucket, uint32_t fp) const {
-    return CountFpInPair(PairOf(bucket, fp), fp) > 0;
+    return ContainsKeyInPair(PairOf(bucket, fp), fp);
+  }
+
+  /// CountFpInPair(pair, fp) > 0, stopping at the first occupied copy so a
+  /// primary-bucket hit never reads the alt bucket.
+  bool ContainsKeyInPair(const BucketPair& pair, uint32_t fp) const {
+    return ScanPairWithFp(pair, fp, [](uint64_t, int) { return true; })
+        .second;
   }
 
   /// ContainsAddressed with staged-erase exclusions (ShardedCcf's tombstone
@@ -166,10 +172,9 @@ class CcfBase : public ConditionalCuckooFilter {
   /// which is exact.
   void SetNumRows(uint64_t n) { num_rows_ = n; }
 
-  /// Prefetched two-pass batch lookup (see ConditionalCuckooFilter): pass 1
-  /// hashes a block of keys and prefetches both buckets of each pair; pass
-  /// 2 resolves via ContainsAddressed. Bit-identical to the scalar loop.
-  /// The broadcast (single-predicate) shape additionally compiles the
+  /// Batched lookup (see ConditionalCuckooFilter) on BatchResolve:
+  /// resolves via ContainsAddressed, bit-identical to the scalar loop. The
+  /// broadcast (single-predicate) shape additionally compiles the
   /// predicate's value fingerprints once for the whole batch.
   Status LookupBatch(std::span<const uint64_t> keys,
                      std::span<const Predicate> preds,
@@ -199,14 +204,16 @@ class CcfBase : public ConditionalCuckooFilter {
  protected:
   CcfBase(CcfConfig config, BucketTable table);
 
-  /// The shared batch skeleton, instantiating the library-wide two-pass
-  /// pipeline (util/batch_pipeline.h): pass 1 computes the bucket pair and
-  /// fingerprint of every key; the block is then radix-clustered by primary
-  /// bucket, prefetched, and resolved via `resolve(index, pair, fp)` with
-  /// the lines (likely) cached. The pair is handed through so resolvers
-  /// that can consume it directly (the variant broadcast overrides) skip
-  /// the alt-bucket rehash; the generic per-key-predicate fallback still
-  /// resolves via ContainsAddressed(bucket, fp, ...) and re-derives it.
+  /// The batched probe pipeline behind every LookupBatch and
+  /// ContainsKeyBatch, instantiating the library pipeline
+  /// (util/batch_pipeline.h): the address pass computes each key's pair and
+  /// fingerprint; the resolve loop prefetches the slot line(s) of both
+  /// buckets of the pair a fixed distance ahead and resolves via
+  /// `resolve(index, pair, fp)` — the exact scalar resolver, so answers are
+  /// bit-identical to it. Nothing else is fetched: the occupancy bitmap is
+  /// read only for fingerprint-0 candidates (see
+  /// BucketTable::ForEachOccupiedMatch). The pair is handed through so
+  /// resolvers that consume it directly skip the alt-bucket rehash.
   template <typename Resolver>
   void BatchResolve(std::span<const uint64_t> keys, std::span<bool> out,
                     Resolver&& resolve) const {
@@ -219,7 +226,9 @@ class CcfBase : public ConditionalCuckooFilter {
     // this pipeline runs against the same immutable table.
     const BucketTable& table = *table_;
     BatchPipelineOptions options;
-    options.cluster_bits = std::bit_width(table.bucket_mask());
+    // Probes resolve in input order: radix clustering measured slower here
+    // (probe-dram geometry, key-only ~100 vs ~77 ns/key unclustered).
+    options.radix_cluster = false;
     RunBatchPipeline<Addr>(
         keys.size(), options,
         [&](size_t i) {
@@ -235,69 +244,6 @@ class CcfBase : public ConditionalCuckooFilter {
           if (!a.pair.degenerate()) table.PrefetchBucket(a.pair.alt);
         },
         [&](size_t i, const Addr& a) { out[i] = resolve(i, a.pair, a.fp); });
-  }
-
-  /// Two-wave flavour of BatchResolve for resolvers whose pair scan can
-  /// settle on the primary bucket alone (every ScanPairWithFp-shaped
-  /// broadcast: a matching entry in the primary bucket proves membership
-  /// outright). Wave 1 prefetches and scans ONLY primary buckets; a key
-  /// whose primary scan matches never fetches its alt bucket at all — on
-  /// out-of-cache tables that removes the second DRAM access for the
-  /// common present-key case. Inconclusive keys prefetch their alt bucket
-  /// immediately and finish in wave 2 with the pair's full copy count.
-  /// `matches(b, s)` is the per-entry predicate (as in ScanPairWithFp);
-  /// `terminal(fp, pair, count)` decides keys with no matching entry from
-  /// the pair's total fp-copy count (false for pair-local variants; the
-  /// chained variant continues its chain walk when count == max_dupes).
-  /// Bit-identical to resolving via ScanPairWithFp: scan order (primary
-  /// slots ascending, then alt) and count semantics are unchanged.
-  template <typename EntryMatcher, typename Terminal>
-  void BatchResolveTwoWave(std::span<const uint64_t> keys,
-                           std::span<bool> out, EntryMatcher&& matches,
-                           Terminal&& terminal) const {
-    struct Addr {
-      uint64_t cluster_key;
-      BucketPair pair;
-      uint32_t fp;
-      int primary_count;
-    };
-    const BucketTable& table = *table_;
-    BatchPipelineOptions options;
-    options.cluster_bits = std::bit_width(table.bucket_mask());
-    RunBatchPipelineTwoWave<Addr>(
-        keys.size(), options,
-        [&](size_t i) {
-          Addr a;
-          uint64_t bucket;
-          KeyAddress(keys[i], &bucket, &a.fp);
-          a.pair = PairOf(bucket, a.fp);
-          a.cluster_key = a.pair.primary;
-          a.primary_count = 0;
-          return a;
-        },
-        [&](const Addr& a) { table.PrefetchBucket(a.pair.primary); },
-        [&](size_t i, Addr& a) {
-          auto [count, matched] =
-              ScanBucketWithFp(a.pair.primary, a.fp, matches);
-          if (matched) {
-            out[i] = true;
-            return true;
-          }
-          if (a.pair.degenerate()) {
-            out[i] = terminal(a.fp, a.pair, count);
-            return true;
-          }
-          a.primary_count = count;
-          return false;
-        },
-        [&](const Addr& a) { table.PrefetchBucket(a.pair.alt); },
-        [&](size_t i, const Addr& a) {
-          auto [alt_count, matched] =
-              ScanBucketWithFp(a.pair.alt, a.fp, matches);
-          out[i] = matched ? true
-                           : terminal(a.fp, a.pair,
-                                      a.primary_count + alt_count);
-        });
   }
 
   /// The payload word wave 1 would store for this row — the packed

@@ -237,9 +237,7 @@ void ChainedCcf::LookupBatchBroadcast(std::span<const uint64_t> keys,
                                       const Predicate& pred,
                                       std::span<bool> out) const {
   // One predicate for the whole batch: hash its values once, compare raw
-  // fingerprints per entry. Single-wave: with a selective predicate a
-  // primary-only match is rare, so the alt-deferring two-wave flavour does
-  // not pay here (see PlainCcf::LookupBatchBroadcast).
+  // fingerprints per entry.
   CompiledVectorPredicate compiled =
       CompiledVectorPredicate::Compile(codec_, pred);
   BatchResolve(keys, out, [&](size_t, const BucketPair& pair, uint32_t fp) {

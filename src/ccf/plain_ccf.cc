@@ -174,11 +174,7 @@ void PlainCcf::LookupBatchBroadcast(std::span<const uint64_t> keys,
                                     const Predicate& pred,
                                     std::span<bool> out) const {
   // One predicate for the whole batch: hash its values once, compare raw
-  // fingerprints per entry. Single-wave (both buckets prefetched up
-  // front): settling on the primary bucket alone needs a predicate MATCH,
-  // which selective join-pushdown predicates make rare, so deferring the
-  // alt fetch (BatchResolveTwoWave) costs more than it saves here —
-  // unlike key-only membership, where any primary copy settles the key.
+  // fingerprints per entry.
   CompiledVectorPredicate compiled =
       CompiledVectorPredicate::Compile(codec_, pred);
   BatchResolve(keys, out, [&](size_t, const BucketPair& pair, uint32_t fp) {

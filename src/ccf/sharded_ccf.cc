@@ -1249,17 +1249,21 @@ std::vector<const ShardedCcf::WriteBuffer*> ShardedCcf::LoadOverlays() const {
 bool ShardedCcf::ResolveKeyWithOps(const CcfBase* base,
                                    const WriteBuffer* overlay, uint64_t key,
                                    const Predicate* pred) const {
+  // ONE size snapshot bounds both overlay reads below. Re-reading it
+  // between them could see an update group (erase + insert) published in
+  // between as its erase alone: the committed row would be excluded while
+  // the staged replacement went unchecked — a false negative.
+  const size_t n = overlay->size();
   // Staged records first: the op-aware overlay probe answers true iff a
   // staged insert of the key survives every later-staged erase (and, with a
   // predicate, matches it).
-  if (pred ? overlay->Contains(key, *pred) : overlay->ContainsKey(key)) {
+  if (pred ? overlay->Contains(key, *pred, n) : overlay->ContainsKey(key, n)) {
     return true;
   }
   // Committed rows, with staged tombstones applied as exclusions. The
   // excluded set is computed from EXACT key matches over the published
   // records, so only classes the caller's key legitimately erased can be
   // hidden — a fingerprint-colliding key never inherits an exclusion.
-  size_t n = overlay->size();
   std::vector<uint64_t> excluded;
   for (size_t i = 0; i < n; ++i) {
     if (overlay->op(i) == WriteBuffer::kOpErase && overlay->key(i) == key) {

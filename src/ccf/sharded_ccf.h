@@ -544,8 +544,11 @@ class ShardedCcf : public ConditionalCuckooFilter {
     /// the scan degenerates to the original forward pass. (Whether staged
     /// erases hide COMMITTED rows is the owning filter's job — see
     /// ShardedCcf::ResolveKeyWithOps.)
-    bool ContainsKey(uint64_t key) const {
-      size_t n = size();
+    bool ContainsKey(uint64_t key) const { return ContainsKey(key, size()); }
+    /// ContainsKey over records [0, n) only; `n` must not exceed a size()
+    /// the caller read (ResolveKeyWithOps bounds its every overlay read by
+    /// one such snapshot).
+    bool ContainsKey(uint64_t key, size_t n) const {
       if (num_erases() == 0) {
         for (size_t i = 0; i < n; ++i) {
           if (keys_[i] == key) return true;
@@ -568,7 +571,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
       return false;
     }
     bool Contains(uint64_t key, const Predicate& pred) const {
-      size_t n = size();
+      return Contains(key, pred, size());
+    }
+    /// Contains over records [0, n) only (see ContainsKey(key, n)).
+    bool Contains(uint64_t key, const Predicate& pred, size_t n) const {
       if (num_erases() == 0) {
         for (size_t i = 0; i < n; ++i) {
           if (keys_[i] == key &&

@@ -1,5 +1,7 @@
 #include "cuckoo/bucket_table.h"
 
+#include <algorithm>
+
 namespace ccf {
 
 BucketTable::BucketTable(uint64_t num_buckets, int slots_per_bucket,
@@ -9,9 +11,23 @@ BucketTable::BucketTable(uint64_t num_buckets, int slots_per_bucket,
       fingerprint_bits_(fingerprint_bits),
       payload_bits_(payload_bits),
       slot_bits_(fingerprint_bits + payload_bits),
-      layout_(BucketLayout::Make(slots_per_bucket,
-                                 fingerprint_bits + payload_bits,
-                                 fingerprint_bits, payload_bits)),
+      direct_(payload_bits == 0 &&
+              slots_per_bucket * fingerprint_bits <= bucket_simd::kLoadBits),
+      fp_mask_(fingerprint_bits >= 32 ? ~uint32_t{0}
+                                      : (uint32_t{1} << fingerprint_bits) - 1),
+      direct_geom_(direct_ ? bucket_simd::MakeSwarGeometry(fingerprint_bits,
+                                                           slots_per_bucket)
+                           : bucket_simd::SwarGeometry{}),
+      // The last slot's LoadBits64 reads 8 bytes from that slot's first
+      // byte (bit + 56 is in the last byte it reads); payload reads reach
+      // the bucket's last bit.
+      read_tail_bits_(std::max<size_t>(
+          static_cast<size_t>(direct_ ? 0 : slots_per_bucket - 1) *
+                  static_cast<size_t>(fingerprint_bits + payload_bits) +
+              56,
+          static_cast<size_t>(slots_per_bucket) *
+                  static_cast<size_t>(fingerprint_bits + payload_bits) -
+              1)),
       slots_(static_cast<size_t>(num_buckets) *
              static_cast<size_t>(slots_per_bucket) *
              static_cast<size_t>(fingerprint_bits + payload_bits)),

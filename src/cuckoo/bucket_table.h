@@ -52,18 +52,13 @@ class BucketTable {
     return occupied_.GetBit(SlotIndex(bucket, slot));
   }
 
-  /// Prefetches a bucket's slot storage and occupancy bits. Batched query
-  /// paths call this for every bucket a block of keys will probe before
-  /// resolving any of them.
+  /// Prefetches the slot line(s) a MatchMask of `bucket` reads — usually
+  /// one, two when the bucket straddles a line boundary. The occupancy
+  /// bitmap is a separate line and is NOT fetched: probes read it only for
+  /// fingerprint-0 candidates (see ForEachOccupiedMatch).
   void PrefetchBucket(uint64_t bucket) const {
-    size_t first = SlotBitOffset(bucket, 0);
-    slots_.PrefetchBit(first);
-    // A bucket's slots are contiguous but may straddle a cache-line
-    // boundary; touch the last bit's line too (usually the same line).
-    slots_.PrefetchBit(first + static_cast<size_t>(slot_bits_) *
-                                   static_cast<size_t>(slots_per_bucket_) -
-                       1);
-    occupied_.PrefetchBit(SlotIndex(bucket, 0));
+    const size_t first = SlotBitOffset(bucket, 0);
+    slots_.PrefetchBitRange(first, first + read_tail_bits_);
   }
 
   /// PrefetchBucket with WRITE intent: pulls the bucket's lines in
@@ -87,53 +82,28 @@ class BucketTable {
   }
 
   /// Fingerprint field of a slot regardless of occupancy (Erase zeroes the
-  /// whole slot, so erased slots read 0). Hot-path scans test this cheap
-  /// slots-line match first and confirm occupancy only on hits, keeping
-  /// the occupancy bitmap's cache line untouched for most probes.
+  /// whole slot, so unoccupied and erased slots read 0).
   uint32_t fingerprint_any(uint64_t bucket, int slot) const {
     return static_cast<uint32_t>(
         slots_.GetField(SlotBitOffset(bucket, slot), fingerprint_bits_));
   }
 
-  /// Wide-loaded view of a bucket's fingerprints (see bucket_view.h). Only
-  /// valid for tables whose geometry admits a vector path — check
-  /// has_bucket_view(), or use MatchMask which falls back itself.
-  BucketView ViewBucket(uint64_t bucket) const {
-    return BucketView(layout_, slots_, SlotBitOffset(bucket, 0));
-  }
-
-  bool has_bucket_view() const {
-    return layout_.mode != BucketLayout::Mode::kScalar;
-  }
-
-  /// Bit s set iff slot s's fingerprint equals `fp`, occupancy ignored —
-  /// the word/vector replacement for a slot-by-slot fingerprint_any scan,
-  /// bit-identical to it on every tier (SWAR/SSE2/AVX2/AVX-512, runtime
-  /// dispatched). Callers confirm occupancy on the (rare) hits only, as
-  /// before. On the AVX-512 tier, kLanes16 geometries bypass the lane
-  /// gather of BucketView entirely: the fused kernels compare the whole
-  /// bucket straight out of the packed bit store (masked 32-byte load when
-  /// slots are 16-bit contiguous, masked 64-bit gather + variable shift
-  /// for line-straddling strided layouts).
+  /// Bit s set iff slot s's fingerprint equals `fp`, occupancy ignored:
+  /// the one-pass replacement for a slot-by-slot fingerprint_any scan
+  /// (see bucket_view.h). Reads only the bucket's slot line(s).
   uint64_t MatchMask(uint64_t bucket, uint32_t fp) const {
-    if (layout_.mode != BucketLayout::Mode::kScalar) {
-#if defined(CCF_HAVE_AVX512_KERNELS)
-      if (layout_.mode == BucketLayout::Mode::kLanes16 &&
-          ActiveSimdTier() == SimdTier::kAvx512) {
-        if (layout_.contiguous16) {
-          return bucket_simd::MatchContiguous16Avx512(
-              slots_.words(), SlotBitOffset(bucket, 0), layout_.slots,
-              layout_.fp_mask, fp);
-        }
-        return bucket_simd::MatchStridedLanes16Avx512(
-            slots_.words(), SlotBitOffset(bucket, 0),
-            layout_.slot_bit_offsets, layout_.slots, layout_.fp_mask, fp);
-      }
-#endif
-      return ViewBucket(bucket).MatchMask(fp);
+    const size_t first = SlotBitOffset(bucket, 0);
+    if (direct_) {
+      return bucket_simd::MatchDirectSwar(slots_.LoadBits64(first), fp,
+                                          fingerprint_bits_, direct_geom_);
     }
-    return MatchMaskScalar(bucket, fp);
+    return bucket_simd::MatchStrided(slots_, first, slots_per_bucket_,
+                                     slot_bits_, fp_mask_, fp);
   }
+
+  /// The reference MatchMask: one GetField per slot. Differential tests pin
+  /// the kernels to it.
+  uint64_t MatchMaskScalar(uint64_t bucket, uint32_t fp) const;
 
   /// All slots_per_bucket occupancy bits of `bucket` as one word (bit s =
   /// slot s occupied). The bits are contiguous in the bitmap, so this is a
@@ -145,14 +115,17 @@ class BucketTable {
   /// THE MatchMask bit-walk: calls `fn(slot)` on every OCCUPIED slot of
   /// `bucket` whose fingerprint equals `fp`, in ascending slot order; `fn`
   /// returns true to stop early. Returns whether a call stopped the walk.
-  /// Fingerprint-first like every scan built on MatchMask, with occupancy
-  /// folded in as one word-AND (erased slots read fingerprint 0, so the
-  /// occupancy word stays authoritative). All pair scans, copy counters,
-  /// and mark checks in the library go through this one helper instead of
-  /// hand-rolling countr_zero / mask &= mask - 1 loops.
+  /// Unoccupied and erased slots read fingerprint 0 (Put and PutSlot set
+  /// occupancy with the fingerprint; Erase zeroes the slot), so a slot
+  /// matching a NON-zero fingerprint is occupied: the occupancy word is
+  /// read (and ANDed in) only for fingerprint-0 candidates, and most probes
+  /// never touch the occupancy line. All pair scans, copy counters, and
+  /// mark checks in the library go through this one helper instead of
+  /// hand-rolling countr_zero loops.
   template <typename SlotFn>
   bool ForEachOccupiedMatch(uint64_t bucket, uint32_t fp, SlotFn&& fn) const {
-    uint64_t mask = MatchMask(bucket, fp) & OccupiedMask(bucket);
+    uint64_t mask = MatchMask(bucket, fp);
+    if (fp == 0 && mask != 0) mask &= OccupiedMask(bucket);
     while (mask != 0) {
       int s = std::countr_zero(mask);
       mask &= mask - 1;
@@ -257,9 +230,6 @@ class BucketTable {
   BucketTable(uint64_t num_buckets, int slots_per_bucket, int fingerprint_bits,
               int payload_bits);
 
-  /// Per-slot GetField loop for geometries with no vector path.
-  uint64_t MatchMaskScalar(uint64_t bucket, uint32_t fp) const;
-
   uint64_t SlotIndex(uint64_t bucket, int slot) const {
     CCF_DCHECK(bucket < num_buckets_);
     CCF_DCHECK(slot >= 0 && slot < slots_per_bucket_);
@@ -278,7 +248,14 @@ class BucketTable {
   int payload_bits_;
   int slot_bits_;
   uint64_t num_occupied_ = 0;
-  BucketLayout layout_;
+  /// MatchMask geometry: direct_ when the payload-free bucket fits one
+  /// LoadBits64 (MatchDirectSwar), else the per-slot MatchStrided kernel.
+  bool direct_;
+  uint32_t fp_mask_;
+  bucket_simd::SwarGeometry direct_geom_;
+  /// Offset from a bucket's first bit to the last bit MatchMask or a slot
+  /// read may touch (the 8-byte load tail included): PrefetchBucket's span.
+  size_t read_tail_bits_;
   BitVector slots_;
   BitVector occupied_;
 };

@@ -1,76 +1,32 @@
-// BucketView: word/vector fingerprint resolution for one bucket.
+// Bucket fingerprint kernels: "which slots of this bucket hold fingerprint
+// κ?" answered as one dense slot bitmask.
 //
-// The query hot path of every cuckoo structure here reduces to "which slots
-// of this bucket hold fingerprint κ?". The scalar answer walks the slots
-// calling BitVector::GetField once per slot; this header answers it with
-// one or two wide compares instead:
+//   * MatchDirectSwar — payload-free tables (CuckooFilter) whose whole
+//     bucket fits in one unaligned 64-bit load: the probe fingerprint is
+//     broadcast with a multiply and all slots are compared at once with an
+//     exact per-lane SWAR zero test.
+//   * MatchStrided    — every other geometry (all CCF variants, any slot
+//     width): one unaligned LoadBits64 per slot, masked to the fingerprint
+//     field and compared. Portable, branch-free, and it touches only the
+//     bytes the bucket's slots live in (plus the 7-byte load tail), so the
+//     bucket's own cache lines are the only ones it needs.
 //
-//   * kDirect  — payload-free tables (CuckooFilter) whose whole bucket fits
-//     in one unaligned 64-bit load: the probe fingerprint is broadcast with
-//     a multiply and all slots are compared at once with an exact per-lane
-//     SWAR zero test. "One aligned word" in spirit; the load is a single
-//     instruction either way.
-//   * kLanes16 — fingerprints ≤ 16 bits at arbitrary slot stride (every CCF
-//     variant): each slot's fingerprint is gathered with one unaligned load
-//     into a padded array of 16-bit lanes, then all lanes are compared in
-//     one shot — SSE2/AVX2/AVX-512 under runtime dispatch, with a SWAR
-//     fallback that is bit-identical on every target. On the AVX-512 tier
-//     the table skips the lane gather entirely: fused full-bucket kernels
-//     below compare straight out of the packed bit store (a masked 32-byte
-//     load when slots are 16-bit-contiguous, a masked 64-bit gather +
-//     variable shift for line-straddling strided buckets).
-//   * kLanes32 — fingerprints 17..32 bits: gathered the same way, compared
-//     with a short in-register loop.
-//
-// All paths return the same dense slot bitmask the scalar scan would
-// produce (bit s set iff fingerprint_any(bucket, s) == fp; erased slots
-// read 0, so occupancy stays authoritative and is checked by the caller
-// only on hits). The kernels are free functions so differential tests can
-// pin AVX-512 == AVX2 == SSE2 == SWAR == scalar.
-//
-// Compilation model: on x86-64 GCC/Clang every kernel tier is ALWAYS
-// compiled, using per-function `target` attributes when the translation
-// unit's -march does not already cover the tier. Which tier actually runs
-// is a runtime decision (util/cpu_features.h): one binary, best resolver
-// picked at load time, forcible via CCF_SIMD_TIER / SetSimdTier for the
-// differential suites.
+// Both return the mask a slot-by-slot fingerprint_any scan would produce
+// (bit s set iff slot s's fingerprint field equals fp). Occupancy is not
+// consulted: unoccupied and erased slots read fingerprint 0, so callers
+// confirm occupancy only when the mask is non-zero.
 #ifndef CCF_CUCKOO_BUCKET_VIEW_H_
 #define CCF_CUCKOO_BUCKET_VIEW_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "util/bit_vector.h"
-#include "util/cpu_features.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define CCF_BUCKET_SIMD_X86 1
-// SSE2 is baseline on x86-64; no attribute needed.
-#if defined(__AVX2__)
-#define CCF_TARGET_AVX2
-#else
-#define CCF_TARGET_AVX2 __attribute__((target("avx2")))
-#endif
-#if defined(__AVX512F__) && defined(__AVX512BW__) && \
-    defined(__AVX512VL__) && defined(__AVX512DQ__)
-#define CCF_TARGET_AVX512
-#else
-#define CCF_TARGET_AVX512 \
-  __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
-#endif
-#elif defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace ccf {
 
 namespace bucket_simd {
-
-/// Maximum slots-per-bucket the vector paths handle; wider buckets use the
-/// table's scalar fallback.
-inline constexpr int kMaxViewSlots = 16;
 
 /// How many logical bits a BitVector::LoadBits64 is guaranteed to deliver
 /// (64 minus the worst-case intra-byte shift).
@@ -114,7 +70,7 @@ inline uint32_t DenseMaskFromMsbs(uint64_t msbs, int width) {
   return out;
 }
 
-/// kDirect kernel: all lanes live in `word` at stride `width`; `g` must
+/// Direct kernel: all lanes live in `word` at stride `width`; `g` must
 /// come from MakeSwarGeometry(width, slots). Bits of `word` above the last
 /// lane are ignored (g's masks do not cover them).
 inline uint32_t MatchDirectSwar(uint64_t word, uint32_t fp, int width,
@@ -123,302 +79,23 @@ inline uint32_t MatchDirectSwar(uint64_t word, uint32_t fp, int width,
   return DenseMaskFromMsbs(ZeroLaneMsbs(x, g), width);
 }
 
-// --- 16-bit-lane kernels -----------------------------------------------------
-//
-// All take a lane array padded with zeros to kMaxViewSlots entries and
-// return a mask limited to the low `n` lanes (padding lanes cannot leak:
-// the result is masked).
-
-inline uint32_t LaneMask(int n) {
-  return n >= 32 ? ~uint32_t{0} : (uint32_t{1} << n) - 1;
-}
-
-inline uint32_t MatchLanes16Scalar(const uint16_t* lanes, int n,
-                                   uint16_t fp) {
-  uint32_t out = 0;
-  for (int i = 0; i < n; ++i) {
-    if (lanes[i] == fp) out |= uint32_t{1} << i;
+/// Strided kernel: `slots` slots of `slot_bits` bits starting at bit
+/// `bucket_bit` of `bits`, each slot's fingerprint in its low bits under
+/// `fp_mask` (fingerprints are at most 32 bits, well inside a LoadBits64).
+inline uint64_t MatchStrided(const BitVector& bits, size_t bucket_bit,
+                             int slots, int slot_bits, uint32_t fp_mask,
+                             uint32_t fp) {
+  uint64_t out = 0;
+  for (int s = 0; s < slots; ++s) {
+    const uint32_t field =
+        static_cast<uint32_t>(bits.LoadBits64(bucket_bit)) & fp_mask;
+    out |= static_cast<uint64_t>(field == fp) << s;
+    bucket_bit += static_cast<size_t>(slot_bits);
   }
   return out;
 }
 
-inline uint32_t MatchLanes16Swar(const uint16_t* lanes, int n, uint16_t fp) {
-  constexpr SwarGeometry g = MakeSwarGeometry(16, 4);
-  const uint64_t needle = g.ones * fp;
-  uint32_t out = 0;
-  for (int i = 0; i < n; i += 4) {
-    uint64_t word;
-    std::memcpy(&word, lanes + i, sizeof(word));
-    out |= DenseMaskFromMsbs(ZeroLaneMsbs(word ^ needle, g), 16)
-           << static_cast<unsigned>(i);
-  }
-  return out & LaneMask(n);
-}
-
-#if defined(__SSE2__) || defined(CCF_BUCKET_SIMD_X86)
-inline uint32_t MatchLanes16Sse2(const uint16_t* lanes, int n, uint16_t fp) {
-  const __m128i needle = _mm_set1_epi16(static_cast<short>(fp));
-  __m128i eq = _mm_cmpeq_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lanes)), needle);
-  // Saturating pack turns each 0xFFFF/0x0000 16-bit lane into an 0xFF/0x00
-  // byte, so movemask yields one bit per lane.
-  uint32_t mask = static_cast<uint32_t>(_mm_movemask_epi8(
-                      _mm_packs_epi16(eq, _mm_setzero_si128()))) &
-                  0xFFu;
-  if (n > 8) {
-    __m128i eq_hi = _mm_cmpeq_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(lanes + 8)),
-        needle);
-    mask |= (static_cast<uint32_t>(_mm_movemask_epi8(
-                 _mm_packs_epi16(eq_hi, _mm_setzero_si128()))) &
-             0xFFu)
-            << 8;
-  }
-  return mask & LaneMask(n);
-}
-#define CCF_HAVE_LANES16_SSE2 1
-#endif  // __SSE2__ || CCF_BUCKET_SIMD_X86
-
-#if defined(CCF_BUCKET_SIMD_X86)
-CCF_TARGET_AVX2 inline uint32_t MatchLanes16Avx2(const uint16_t* lanes, int n,
-                                                 uint16_t fp) {
-  const __m256i needle = _mm256_set1_epi16(static_cast<short>(fp));
-  __m256i eq = _mm256_cmpeq_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes)), needle);
-  __m256i packed = _mm256_packs_epi16(eq, _mm256_setzero_si256());
-  // packs interleaves 128-bit halves; restore lane order before movemask.
-  packed = _mm256_permute4x64_epi64(packed, 0xD8);
-  uint32_t mask =
-      static_cast<uint32_t>(_mm256_movemask_epi8(packed)) & 0xFFFFu;
-  return mask & LaneMask(n);
-}
-#define CCF_HAVE_LANES16_AVX2 1
-
-/// AVX-512 (VL+BW) lane kernel: all 16 padded lanes compared with ONE
-/// instruction straight into a mask register — no pack/permute/movemask
-/// shuffle tax.
-CCF_TARGET_AVX512 inline uint32_t MatchLanes16Avx512(const uint16_t* lanes,
-                                                     int n, uint16_t fp) {
-  const __m256i needle = _mm256_set1_epi16(static_cast<short>(fp));
-  __mmask16 eq = _mm256_cmpeq_epi16_mask(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes)), needle);
-  return static_cast<uint32_t>(eq) & LaneMask(n);
-}
-#define CCF_HAVE_AVX512_KERNELS 1
-
-// --- AVX-512 fused full-bucket kernels ---------------------------------------
-//
-// These skip BucketView's per-slot lane gather and compare straight out of
-// the packed BitVector word array. `words` is BitVector::words(): reads may
-// touch up to 8 bytes from any byte containing a LOGICAL bit (the guard
-// word makes that safe); lanes whose slot lies beyond the bucket are
-// masked OFF in the gather so no access past the guarantee is generated.
-
-/// Contiguous case — slot_bits == 16 (fp may still be < 16 bits with the
-/// payload packed above it): the bucket's slots are a dense, byte-aligned
-/// uint16_t array inside the bit store, so one masked 32-byte load grabs
-/// the whole bucket (64-byte table lines => at most one line split) and one
-/// masked compare classifies every slot.
-CCF_TARGET_AVX512 inline uint32_t MatchContiguous16Avx512(
-    const uint64_t* words, uint64_t bucket_bit, int slots, uint32_t fp_mask,
-    uint32_t fp) {
-  // bucket_bit is a multiple of 16 when slot_bits == 16.
-  const char* base =
-      reinterpret_cast<const char*>(words) + (bucket_bit >> 3);
-  const __mmask16 live = static_cast<__mmask16>(LaneMask(slots));
-  __m256i lanes = _mm256_maskz_loadu_epi16(live, base);
-  lanes = _mm256_and_si256(
-      lanes, _mm256_set1_epi16(static_cast<short>(fp_mask)));
-  return static_cast<uint32_t>(_mm256_mask_cmpeq_epi16_mask(
-      live, lanes, _mm256_set1_epi16(static_cast<short>(fp))));
-}
-
-/// Strided case — arbitrary slot_bits (the line-straddling CCF layouts):
-/// 8 slots per iteration are fetched with a masked 64-bit gather at each
-/// slot's byte address, aligned to bit 0 with a per-lane variable shift,
-/// masked to the fingerprint field, and compared against the broadcast
-/// probe — a full 6..16-slot bucket resolves in one or two gather+compare
-/// rounds with zero scalar per-slot work. `slot_bit_offsets` is the
-/// layout's precomputed [kMaxViewSlots] table of s * slot_bits (so no
-/// 64-bit multiply lives on this path).
-CCF_TARGET_AVX512 inline uint32_t MatchStridedLanes16Avx512(
-    const uint64_t* words, uint64_t bucket_bit,
-    const uint64_t* slot_bit_offsets, int slots, uint32_t fp_mask,
-    uint32_t fp) {
-  const char* base = reinterpret_cast<const char*>(words);
-  const __m512i vbucket = _mm512_set1_epi64(static_cast<long long>(
-      bucket_bit));
-  const __m512i vmask = _mm512_set1_epi64(fp_mask);
-  const __m512i vfp = _mm512_set1_epi64(fp);
-  const __m512i vseven = _mm512_set1_epi64(7);
-  uint32_t out = 0;
-  for (int s = 0; s < slots; s += 8) {
-    const int remain = slots - s;
-    const __mmask8 live = remain >= 8
-                              ? static_cast<__mmask8>(0xFF)
-                              : static_cast<__mmask8>((1u << remain) - 1);
-    __m512i pos = _mm512_add_epi64(
-        vbucket, _mm512_loadu_si512(slot_bit_offsets + s));
-    // Masked gather: dead lanes generate NO memory access, so slots past
-    // the bucket (whose positions could lie past the guard word for the
-    // table's last bucket) are never touched; their lanes read as zero
-    // and are stripped by the final LaneMask.
-    __m512i raw = _mm512_mask_i64gather_epi64(
-        _mm512_setzero_si512(), live, _mm512_srli_epi64(pos, 3), base, 1);
-    __m512i field = _mm512_and_epi64(
-        _mm512_srlv_epi64(raw, _mm512_and_epi64(pos, vseven)), vmask);
-    const __mmask8 eq = _mm512_mask_cmpeq_epi64_mask(live, field, vfp);
-    out |= static_cast<uint32_t>(eq) << s;
-  }
-  return out & LaneMask(slots);
-}
-#endif  // CCF_BUCKET_SIMD_X86
-
-/// Production dispatch: widest tier the running CPU supports (overridable
-/// via CCF_SIMD_TIER / SetSimdTier). All tiers produce identical masks
-/// (enforced by bucket_view_test's forced-tier differentials).
-inline uint32_t MatchLanes16(const uint16_t* lanes, int n, uint16_t fp) {
-#if defined(CCF_BUCKET_SIMD_X86)
-  switch (ActiveSimdTier()) {
-    case SimdTier::kAvx512:
-      return MatchLanes16Avx512(lanes, n, fp);
-    case SimdTier::kAvx2:
-      return MatchLanes16Avx2(lanes, n, fp);
-    case SimdTier::kSse2:
-      return MatchLanes16Sse2(lanes, n, fp);
-    case SimdTier::kSwar:
-      return MatchLanes16Swar(lanes, n, fp);
-  }
-  return MatchLanes16Swar(lanes, n, fp);
-#elif defined(CCF_HAVE_LANES16_SSE2)
-  return MatchLanes16Sse2(lanes, n, fp);
-#else
-  return MatchLanes16Swar(lanes, n, fp);
-#endif
-}
-
 }  // namespace bucket_simd
-
-/// Per-table resolver geometry, computed once at BucketTable construction.
-struct BucketLayout {
-  enum class Mode : uint8_t {
-    kDirect,   // payload-free bucket in one 64-bit load
-    kLanes16,  // gather to 16-bit lanes, vector compare
-    kLanes32,  // gather to 32-bit lanes, in-register loop
-    kScalar,   // > kMaxViewSlots slots: per-slot GetField loop in the table
-  };
-
-  Mode mode = Mode::kScalar;
-  int slots = 0;
-  int slot_bits = 0;
-  int fp_bits = 0;
-  uint32_t fp_mask = 0;
-  /// kLanes16 with slot_bits == 16: slots are a dense byte-aligned
-  /// uint16_t run, eligible for the AVX-512 masked-load fast path.
-  bool contiguous16 = false;
-  bucket_simd::SwarGeometry direct_geom;  // kDirect only
-  /// s * slot_bits for every s < kMaxViewSlots (defined past `slots` too:
-  /// the AVX-512 strided kernel loads 8 offsets at a time and masks the
-  /// dead lanes). Precomputed so the gather path needs no multiply.
-  uint64_t slot_bit_offsets[bucket_simd::kMaxViewSlots] = {0};
-
-  static BucketLayout Make(int slots, int slot_bits, int fp_bits,
-                           int payload_bits) {
-    BucketLayout out;
-    out.slots = slots;
-    out.slot_bits = slot_bits;
-    out.fp_bits = fp_bits;
-    out.fp_mask = fp_bits >= 32 ? ~uint32_t{0}
-                                : (uint32_t{1} << fp_bits) - 1;
-    for (int s = 0; s < bucket_simd::kMaxViewSlots; ++s) {
-      out.slot_bit_offsets[s] =
-          static_cast<uint64_t>(s) * static_cast<uint64_t>(slot_bits);
-    }
-    if (slots > bucket_simd::kMaxViewSlots) {
-      out.mode = Mode::kScalar;
-    } else if (payload_bits == 0 &&
-               slots * slot_bits <= bucket_simd::kLoadBits) {
-      out.mode = Mode::kDirect;
-      out.direct_geom = bucket_simd::MakeSwarGeometry(fp_bits, slots);
-    } else if (fp_bits <= 16) {
-      out.mode = Mode::kLanes16;
-      out.contiguous16 = slot_bits == 16;
-    } else {
-      out.mode = Mode::kLanes32;
-    }
-    return out;
-  }
-};
-
-/// \brief One bucket's fingerprints, loaded wide and ready to compare.
-///
-/// Constructed by BucketTable::ViewBucket; resolves any number of probe
-/// fingerprints against the loaded slots without touching memory again.
-class BucketView {
- public:
-  BucketView(const BucketLayout& layout, const BitVector& bits,
-             size_t bucket_bit_offset)
-      : layout_(&layout) {
-    switch (layout.mode) {
-      case BucketLayout::Mode::kDirect:
-        direct_ = bits.LoadBits64(bucket_bit_offset);
-        break;
-      case BucketLayout::Mode::kLanes16: {
-        std::memset(lanes16_, 0, sizeof(lanes16_));
-        size_t pos = bucket_bit_offset;
-        for (int s = 0; s < layout.slots; ++s) {
-          lanes16_[s] = static_cast<uint16_t>(bits.LoadBits64(pos) &
-                                              layout.fp_mask);
-          pos += static_cast<size_t>(layout.slot_bits);
-        }
-        break;
-      }
-      case BucketLayout::Mode::kLanes32: {
-        size_t pos = bucket_bit_offset;
-        for (int s = 0; s < layout.slots; ++s) {
-          lanes32_[s] = static_cast<uint32_t>(bits.LoadBits64(pos) &
-                                              layout.fp_mask);
-          pos += static_cast<size_t>(layout.slot_bits);
-        }
-        break;
-      }
-      case BucketLayout::Mode::kScalar:
-        // Callers (BucketTable::MatchMask) never build a view in this mode.
-        break;
-    }
-  }
-
-  /// Bit s set iff slot s's fingerprint field equals `fp` (occupancy not
-  /// consulted — identical to a fingerprint_any scan).
-  uint32_t MatchMask(uint32_t fp) const {
-    switch (layout_->mode) {
-      case BucketLayout::Mode::kDirect:
-        return bucket_simd::MatchDirectSwar(direct_, fp, layout_->fp_bits,
-                                            layout_->direct_geom);
-      case BucketLayout::Mode::kLanes16:
-        return bucket_simd::MatchLanes16(lanes16_, layout_->slots,
-                                         static_cast<uint16_t>(fp));
-      case BucketLayout::Mode::kLanes32: {
-        uint32_t out = 0;
-        for (int s = 0; s < layout_->slots; ++s) {
-          if (lanes32_[s] == fp) out |= uint32_t{1} << s;
-        }
-        return out;
-      }
-      case BucketLayout::Mode::kScalar:
-        break;
-    }
-    return 0;
-  }
-
- private:
-  const BucketLayout* layout_;
-  union {
-    uint64_t direct_;
-    alignas(16) uint16_t lanes16_[bucket_simd::kMaxViewSlots];
-    uint32_t lanes32_[bucket_simd::kMaxViewSlots];
-  };
-};
 
 }  // namespace ccf
 

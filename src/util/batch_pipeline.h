@@ -1,6 +1,6 @@
 // The ONE software-pipelined batch skeleton behind every batched path in
-// the library, reads AND writes (CcfBase::BatchResolve /
-// BatchResolveTwoWave / InsertBatch, ShardedCcf's ShardedTwoPass, and the
+// the library, reads AND writes (CcfBase::BatchResolve / InsertBatch,
+// ShardedCcf's ShardedTwoPass, and the
 // CuckooFilter / BloomFilter / MarkedKeyFilter ContainsBatch loops all
 // instantiate this — no call site hand-rolls hash+prefetch+resolve any
 // more, so block size, prefetch policy, and pipeline depth cannot
@@ -59,11 +59,7 @@ namespace ccf {
 
 /// Block size of the two-pass batch loop: small enough that the address
 /// scratch and the block's prefetched lines stay inside L2, large enough
-/// that every DRAM-latency prefetch has completed — and the radix bins
-/// are populated enough to create real bucket-range locality — by the
-/// time the resolve pass runs. Measured best among 128/256/512/1024/2048/
-/// 4096 on the ~92 MB hot-path table (2048 ≈ +37% lookups/s over the old
-/// 128).
+/// that the radix bins of clustered callers are populated.
 inline constexpr size_t kBatchPipelineBlock = 2048;
 
 /// Pipeline block size of the batched INSERT paths (CcfBase::InsertBatch,
@@ -84,8 +80,7 @@ inline constexpr size_t kBatchPipelineSmallBatch = 128;
 
 /// Default interleave width (N) of the software-pipelined resolve loop:
 /// each iteration prefetches N buckets, hashes a strip of the next block,
-/// and resolves N items. Compile-time tunable; 4 measured best among
-/// 1/2/4/8/16 on the ~92 MB chained-table batched lookup.
+/// and resolves N items. Compile-time tunable.
 inline constexpr size_t kBatchPipelineWay =
 #if defined(CCF_PIPELINE_WAY)
     CCF_PIPELINE_WAY;
@@ -116,6 +111,15 @@ struct BatchPipelineOptions {
 
 namespace batch_pipeline_internal {
 
+/// The block loops inline their callbacks completely: on the probe-dram
+/// table (2^25 buckets, 6 x 28-bit slots) the same loop with an outlined
+/// callee took ~200 ns/key for ContainsKeyBatch, flattened ~75.
+#if defined(__GNUC__) || defined(__clang__)
+#define CCF_PIPELINE_FLATTEN __attribute__((flatten))
+#else
+#define CCF_PIPELINE_FLATTEN
+#endif
+
 constexpr int kRadixBits = 6;
 constexpr size_t kRadixBins = size_t{1} << kRadixBits;
 static_assert(kBatchPipelineBlock <= 65535, "bin counters are 16-bit");
@@ -126,8 +130,7 @@ static_assert(kBatchPipelineBlock <= 65535, "bin counters are 16-bit");
 /// handful, leaving the tail of the block cold again by resolve time.
 /// Instead the loop prefetches group i+kPrefetchLead while resolving group
 /// i, keeping the miss queue continuously full without ever out-running
-/// L2. 24 ≈ miss-buffer depth with headroom; measured best among
-/// 8/16/24/32/64 on the ~92 MB build and probe tables.
+/// L2. 24 ≈ miss-buffer depth with headroom.
 constexpr size_t kPrefetchLead = 24;
 
 /// Process-wide pipeline-way override storage (0 = none). One instance
@@ -185,10 +188,11 @@ inline size_t EffectiveWay(const BatchPipelineOptions& options) {
 /// epilogue.
 template <typename Addr, typename AddressFn, typename PrefetchFn,
           typename ResolveFn>
-void RunBlocks(size_t num_items, bool cluster, int shift, size_t way,
-               Addr* addrs, uint16_t* order, size_t block,
-               AddressFn&& address, PrefetchFn&& prefetch,
-               ResolveFn&& resolve) {
+CCF_PIPELINE_FLATTEN void RunBlocks(size_t num_items, bool cluster, int shift,
+                                    size_t way, Addr* addrs, uint16_t* order,
+                                    size_t block, AddressFn&& address,
+                                    PrefetchFn&& prefetch,
+                                    ResolveFn&& resolve) {
   const size_t lead = std::min(block, kPrefetchLead);
   Addr* cur = addrs;
   Addr* nxt = addrs + block;
@@ -248,11 +252,11 @@ void RunBlocks(size_t num_items, bool cluster, int shift, size_t way,
 /// runs after wave 1 and the hash flush, before the next block's cluster.
 template <typename Addr, typename AddressFn, typename Prefetch1Fn,
           typename Resolve1Fn, typename Prefetch2Fn, typename Resolve2Fn>
-void RunBlocksTwoWave(size_t num_items, bool cluster, int shift, size_t way,
-                      Addr* addrs, uint16_t* order, size_t block,
-                      AddressFn&& address, Prefetch1Fn&& prefetch1,
-                      Resolve1Fn&& resolve1, Prefetch2Fn&& prefetch2,
-                      Resolve2Fn&& resolve2) {
+CCF_PIPELINE_FLATTEN void RunBlocksTwoWave(
+    size_t num_items, bool cluster, int shift, size_t way, Addr* addrs,
+    uint16_t* order, size_t block, AddressFn&& address,
+    Prefetch1Fn&& prefetch1, Resolve1Fn&& resolve1, Prefetch2Fn&& prefetch2,
+    Resolve2Fn&& resolve2) {
   const size_t lead = std::min(block, kPrefetchLead);
   Addr* cur = addrs;
   Addr* nxt = addrs + block;

@@ -27,8 +27,8 @@ namespace ccf {
 ///    2 MiB-aligned and MADV_HUGEPAGE-advised BEFORE first touch, so the
 ///    kernel faults in huge pages directly instead of waiting for khugepaged
 ///    to collapse already-populated 4 KiB pages. Large tables probed at
-///    random offsets otherwise thrash the dTLB — and x86 silently drops
-///    prefetches whose page misses the TLB, disabling the batched hot path.
+///    random offsets otherwise thrash the dTLB: each probe's line fill
+///    waits on a page walk as well.
 ///  * One extra zero guard word follows the logical words, so LoadBits64 may
 ///    issue an unaligned 64-bit load at any byte holding a logical bit.
 ///  * With a util/topology.h ScopedNumaAllocNode live on the allocating
@@ -41,9 +41,9 @@ namespace ccf {
 ///    (SetBit/SetField/Clear/Resize) transparently copies the words into an
 ///    owned allocation first (software copy-on-write), so the mapping is
 ///    never written through. There is no owned guard word in this mode:
-///    the wide readers above (unaligned LoadBits64, gather kernels) may
-///    overread up to 7 bytes past the aliased word array, so the keepalive
-///    region must stay readable for >= 8 bytes past the end of the blob.
+///    the unaligned LoadBits64 may overread up to 7 bytes past the aliased
+///    word array, so the keepalive region must stay readable for >= 8
+///    bytes past the end of the blob.
 ///    MmapFileBytes guarantees this with its zero guard page; a heap-backed
 ///    keepalive must over-allocate that tail slack itself.
 class BitVector {
@@ -96,6 +96,21 @@ class BitVector {
     PrefetchRead(&words_[i >> 6]);
   }
 
+  /// Prefetches every cache line holding a byte of bits [first, last]
+  /// (read intent). `last` may point into the guard word or past the end
+  /// (prefetches never fault); callers pass the span a LoadBits64-based
+  /// reader will touch.
+  void PrefetchBitRange(size_t first, size_t last) const {
+    CCF_DCHECK(first < num_bits_ && first <= last);
+    const char* base = reinterpret_cast<const char*>(words_);
+    const uintptr_t end = reinterpret_cast<uintptr_t>(base + (last >> 3));
+    for (uintptr_t line =
+             reinterpret_cast<uintptr_t>(base + (first >> 3)) & ~uintptr_t{63};
+         line <= end; line += 64) {
+      PrefetchRead(reinterpret_cast<const void*>(line));
+    }
+  }
+
   /// Prefetches the cache line holding bit `i` with write intent — the
   /// batched insert paths' flavour for lines they are about to store to.
   void PrefetchBitForWrite(size_t i) const {
@@ -121,13 +136,6 @@ class BitVector {
                 sizeof(w));
     return w >> (pos & 7);
   }
-
-  /// Raw word storage, for wide-kernel readers (the AVX-512 fused bucket
-  /// compares gather straight from it). The LoadBits64 guarantee applies:
-  /// an 8-byte read at any byte containing a logical bit stays inside the
-  /// allocation thanks to the guard word; readers must not touch bytes
-  /// past the last logical bit's byte.
-  const uint64_t* words() const { return words_; }
 
   /// Number of set bits in the whole vector.
   size_t PopCount() const;

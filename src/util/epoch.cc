@@ -1,6 +1,8 @@
 #include "util/epoch.h"
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 namespace ccf {
@@ -8,9 +10,11 @@ namespace ccf {
 EpochDomain::~EpochDomain() {
   // Owner teardown: no pinned readers may remain (they would be probing a
   // structure that is being destroyed).
-  for (const Slot& slot : slots_) {
-    CCF_DCHECK(slot.epoch.load(std::memory_order_acquire) == kQuiescent);
-  }
+  CCF_DCHECK(std::all_of(std::begin(slots_), std::end(slots_),
+                         [](const Slot& s) {
+                           return s.epoch.load(std::memory_order_acquire) ==
+                                  kQuiescent;
+                         }));
   std::lock_guard<std::mutex> lock(retired_mu_);
   for (const Retired& r : retired_) r.deleter(r.obj);
   retired_.clear();

@@ -1,11 +1,8 @@
-// Differential tests for the SIMD/SWAR bucket fingerprint resolver
-// (cuckoo/bucket_view.h): every vector path must produce bit-identical
-// match masks to the scalar slot-by-slot fingerprint_any scan, across
-// fingerprint widths, slots-per-bucket, payload strides that straddle word
-// and cache-line boundaries, and erased (fingerprint 0) slots. The sweep
-// runs once per runtime-dispatch tier (SWAR → SSE2 → AVX2 → AVX-512, as
-// far as the host CPU supports) so every kernel the binary carries is
-// proven bit-identical, not just the one the host would pick.
+// Differential tests for the bucket fingerprint kernels
+// (cuckoo/bucket_view.h): MatchMask must produce bit-identical match masks
+// to the slot-by-slot MatchMaskScalar reference, across fingerprint widths,
+// slots-per-bucket, payload strides that straddle word and cache-line
+// boundaries, and erased (fingerprint 0) slots.
 #include "cuckoo/bucket_view.h"
 
 #include <gtest/gtest.h>
@@ -16,26 +13,15 @@
 #include <vector>
 
 #include "cuckoo/bucket_table.h"
-#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace ccf {
 namespace {
 
-/// Restores the ambient tier (env/hardware resolution) on scope exit so a
-/// forced-tier test cannot poison later tests in the same process.
-struct SimdTierGuard {
-  ~SimdTierGuard() { ResetSimdTier(); }
-};
-
-// The reference the hardware paths must reproduce exactly.
+// The reference the kernels must reproduce exactly.
 uint64_t ScalarReferenceMask(const BucketTable& t, uint64_t bucket,
                              uint32_t fp) {
-  uint64_t mask = 0;
-  for (int s = 0; s < t.slots_per_bucket(); ++s) {
-    if (t.fingerprint_any(bucket, s) == fp) mask |= uint64_t{1} << s;
-  }
-  return mask;
+  return t.MatchMaskScalar(bucket, fp);
 }
 
 struct Geometry {
@@ -44,10 +30,10 @@ struct Geometry {
   int payload_bits;
 };
 
-// Covers all resolver modes: kDirect (payload 0, small buckets), kLanes16
-// (payloads incl. primes that make buckets straddle 64-bit words and
-// 64-byte cache lines), kLanes32 (fp > 16 bits), and the scalar fallback
-// (slots > 16). Fingerprint widths per the issue: 4/8/12/16, slots 2/4/8.
+// Covers both kernels: the direct SWAR word (payload 0, small buckets) and
+// the per-slot strided loads (payloads incl. primes that make buckets
+// straddle 64-bit words and 64-byte cache lines, wide fingerprints, and
+// more than 16 slots). Fingerprint widths 4/8/12/16+, slots 2..24.
 const Geometry kGeometries[] = {
     // kDirect candidates (payload-free).
     {4, 2, 0},
@@ -57,7 +43,7 @@ const Geometry kGeometries[] = {
     {12, 4, 0},
     {12, 2, 0},
     {16, 2, 0},
-    // 16x4 = 64 bits exceeds the single-load budget: lanes path.
+    // 16x4 = 64 bits exceeds the single-load budget: strided path.
     {16, 4, 0},
     {16, 8, 0},
     {12, 8, 0},
@@ -71,17 +57,17 @@ const Geometry kGeometries[] = {
     {4, 8, 7},
     {16, 8, 33},
     {12, 6, 100},
-    // kLanes32: wide fingerprints.
+    // Wide fingerprints.
     {20, 4, 0},
     {24, 6, 9},
     {32, 4, 8},
-    // Scalar fallback: more slots than the vector paths handle.
+    // More slots than fit one SWAR word or 16 lanes.
     {8, 24, 0},
     {12, 20, 4},
 };
 
 // One full randomized sweep over every geometry, comparing the production
-// MatchMask (whatever tier is active) against the scalar reference.
+// MatchMask against the scalar reference.
 void RunEverywhereSweep(uint64_t seed) {
   Rng rng(seed);
   for (const Geometry& g : kGeometries) {
@@ -131,29 +117,6 @@ TEST(BucketViewTest, MatchMaskEqualsScalarScanEverywhere) {
   RunEverywhereSweep(20260727);
 }
 
-// The same sweep under EVERY forced dispatch tier up to the hardware's
-// best: requesting a tier the CPU lacks clamps down (by contract), so on
-// an AVX-512 host this exercises SWAR, SSE2, AVX2 and AVX-512 — including
-// the fused contiguous-load and masked-gather full-bucket kernels — while
-// on older CPUs it degrades gracefully to the supported subset.
-TEST(BucketViewTest, MatchMaskEqualsScalarScanUnderEveryForcedTier) {
-  SimdTierGuard guard;
-  for (SimdTier requested : {SimdTier::kSwar, SimdTier::kSse2, SimdTier::kAvx2,
-                             SimdTier::kAvx512}) {
-    SimdTier applied = SetSimdTier(requested);
-    SCOPED_TRACE(testing::Message()
-                 << "requested=" << SimdTierName(requested)
-                 << " applied=" << SimdTierName(applied));
-    ASSERT_EQ(ActiveSimdTier(), applied);
-    RunEverywhereSweep(20260808 + static_cast<uint64_t>(requested));
-    if (applied != requested) {
-      // Hardware clamp kicked in: no wider tier exists to force.
-      EXPECT_EQ(applied, BestSupportedTier());
-      break;
-    }
-  }
-}
-
 TEST(BucketViewTest, CountFingerprintMatchesBruteForce) {
   Rng rng(99);
   auto t = BucketTable::Make(32, 6, 12, 16).ValueOrDie();
@@ -175,168 +138,70 @@ TEST(BucketViewTest, CountFingerprintMatchesBruteForce) {
   }
 }
 
-// Kernel-level differentials: the production dispatch (MatchLanes16) and
-// every compiled-in implementation agree lane-for-lane. On x86-64 SSE2 is
-// part of the baseline ABI, so CI always exercises the SIMD path here;
-// the AVX2/AVX-512 kernels are always compiled (per-function target
-// attributes) and run when the host CPU reports the ISA.
-TEST(BucketViewTest, Lanes16KernelsAgree) {
-  Rng rng(7);
-  const CpuFeatures cpu = DetectCpuFeatures();
-  alignas(16) uint16_t lanes[bucket_simd::kMaxViewSlots];
-  for (int trial = 0; trial < 2000; ++trial) {
-    for (auto& lane : lanes) {
-      // Low-entropy lanes so matches (incl. repeated ones) are common.
-      lane = static_cast<uint16_t>(rng.NextBelow(16));
-    }
-    int n = 1 + static_cast<int>(rng.NextBelow(bucket_simd::kMaxViewSlots));
-    uint16_t fp = static_cast<uint16_t>(rng.NextBelow(16));
-    uint32_t scalar = bucket_simd::MatchLanes16Scalar(lanes, n, fp);
-    EXPECT_EQ(bucket_simd::MatchLanes16Swar(lanes, n, fp), scalar);
-    EXPECT_EQ(bucket_simd::MatchLanes16(lanes, n, fp), scalar);
-#if defined(__SSE2__)
-    EXPECT_EQ(bucket_simd::MatchLanes16Sse2(lanes, n, fp), scalar);
-#endif
-#if defined(CCF_BUCKET_SIMD_X86)
-    if (cpu.avx2) {
-      EXPECT_EQ(bucket_simd::MatchLanes16Avx2(lanes, n, fp), scalar);
-    }
-#elif defined(__AVX2__)
-    EXPECT_EQ(bucket_simd::MatchLanes16Avx2(lanes, n, fp), scalar);
-#endif
-#if defined(CCF_HAVE_AVX512_KERNELS)
-    if (cpu.avx512) {
-      EXPECT_EQ(bucket_simd::MatchLanes16Avx512(lanes, n, fp), scalar);
-    }
-#endif
-  }
-}
-
-#if defined(CCF_HAVE_AVX512_KERNELS)
-
-// Direct differentials for the fused AVX-512 full-bucket kernels against
-// hand-rolled bit extraction over a raw word buffer. The buffer mimics
-// BitVector's layout contract: logical words plus ONE zero guard word, so
-// an 8-byte read at any byte containing a logical bit stays in bounds.
-TEST(BucketViewTest, Avx512ContiguousKernelMatchesBitExtraction) {
-  if (!DetectCpuFeatures().avx512) {
-    GTEST_SKIP() << "host CPU lacks AVX-512 (F+BW+VL+DQ)";
-  }
-  Rng rng(31);
-  for (int fp_bits : {4, 8, 12, 16}) {
-    const uint32_t fp_mask = (uint32_t{1} << fp_bits) - 1;
-    for (int slots : {1, 2, 3, 4, 7, 8, 12, 15, 16}) {
-      // Enough words for several buckets of 16-bit slots + guard word.
-      const int num_buckets = 9;
-      const size_t logical_bits =
-          static_cast<size_t>(num_buckets) * slots * 16;
-      std::vector<uint64_t> words((logical_bits + 63) / 64 + 1, 0);
-      auto* lanes = reinterpret_cast<uint16_t*>(words.data());
-      for (size_t i = 0; i < logical_bits / 16; ++i) {
-        lanes[i] = static_cast<uint16_t>(rng.NextBelow(1u << 16));
-      }
-      for (int b = 0; b < num_buckets; ++b) {
-        const uint64_t bucket_bit = static_cast<uint64_t>(b) * slots * 16;
-        for (int probe = 0; probe < 8; ++probe) {
-          const uint32_t fp =
-              static_cast<uint32_t>(rng.NextBelow(fp_mask + 1ull));
-          uint32_t expected = 0;
+// The strided kernel called directly on a table's bit store, against the
+// MatchMaskScalar reference: every fingerprint width 1..32, slot widths up
+// to 64 bits, and 1..16 slots per bucket. Odd slot widths put buckets at
+// every bit phase, so slots straddle words and cache lines throughout.
+TEST(BucketViewTest, StridedKernelMatchesScalarAcrossWidths) {
+  Rng rng(20261017);
+  for (int fp_bits = 1; fp_bits <= 32; ++fp_bits) {
+    const uint32_t fp_mask =
+        fp_bits >= 32 ? ~uint32_t{0} : (uint32_t{1} << fp_bits) - 1;
+    for (int slot_bits : {fp_bits, fp_bits + 1, fp_bits + 7, 28, 33, 47, 64}) {
+      if (slot_bits < fp_bits || slot_bits > 64) continue;
+      for (int slots = 1; slots <= 16; ++slots) {
+        SCOPED_TRACE(testing::Message() << "fp_bits=" << fp_bits
+                                        << " slot_bits=" << slot_bits
+                                        << " slots=" << slots);
+        auto t = BucketTable::Make(8, slots, fp_bits, slot_bits - fp_bits)
+                     .ValueOrDie();
+        for (uint64_t b = 0; b < t.num_buckets(); ++b) {
           for (int s = 0; s < slots; ++s) {
-            if ((lanes[bucket_bit / 16 + s] & fp_mask) == fp) {
-              expected |= uint32_t{1} << s;
+            if (rng.NextBelow(4) == 0) continue;  // never written
+            // Low-entropy fingerprints so repeated matches occur.
+            t.Put(b, s, static_cast<uint32_t>(rng.NextBelow(4)) & fp_mask);
+            if (slot_bits > fp_bits) {
+              const int payload = slot_bits - fp_bits;
+              t.SetPayloadField(b, s, 0, payload,
+                                rng.Next() & (payload >= 64
+                                                  ? ~uint64_t{0}
+                                                  : (uint64_t{1} << payload) -
+                                                        1));
             }
+            if (rng.NextBelow(5) == 0) t.Erase(b, s);
           }
-          EXPECT_EQ(bucket_simd::MatchContiguous16Avx512(
-                        words.data(), bucket_bit, slots, fp_mask, fp),
-                    expected)
-              << "fp_bits=" << fp_bits << " slots=" << slots << " b=" << b
-              << " fp=" << fp;
+        }
+        for (uint64_t b = 0; b < t.num_buckets(); ++b) {
+          const size_t first = static_cast<size_t>(b) *
+                               static_cast<size_t>(slots) *
+                               static_cast<size_t>(slot_bits);
+          for (uint32_t fp :
+               {uint32_t{0}, uint32_t{1} & fp_mask, uint32_t{2} & fp_mask,
+                uint32_t{3} & fp_mask, fp_mask,
+                static_cast<uint32_t>(rng.Next()) & fp_mask}) {
+            const uint64_t want = t.MatchMaskScalar(b, fp);
+            ASSERT_EQ(bucket_simd::MatchStrided(*t.bits(), first, slots,
+                                                slot_bits, fp_mask, fp),
+                      want)
+                << "bucket=" << b << " fp=" << fp;
+            ASSERT_EQ(t.MatchMask(b, fp), want) << "bucket=" << b
+                                                << " fp=" << fp;
+          }
         }
       }
     }
   }
 }
 
-TEST(BucketViewTest, Avx512StridedKernelMatchesBitExtraction) {
-  if (!DetectCpuFeatures().avx512) {
-    GTEST_SKIP() << "host CPU lacks AVX-512 (F+BW+VL+DQ)";
-  }
-  Rng rng(37);
-  // Odd slot strides make bucket starts sweep every bit phase and make
-  // slots straddle 64-bit words and 64-byte lines.
-  struct Shape {
-    int fp_bits;
-    int slot_bits;
-    int slots;
-  };
-  for (const Shape& sh : {Shape{12, 28, 4}, Shape{12, 28, 6}, Shape{8, 13, 8},
-                          Shape{4, 11, 16}, Shape{16, 49, 5},
-                          Shape{16, 33, 9}}) {
-    const uint32_t fp_mask = (uint32_t{1} << sh.fp_bits) - 1;
-    uint64_t slot_bit_offsets[bucket_simd::kMaxViewSlots];
-    for (int s = 0; s < bucket_simd::kMaxViewSlots; ++s) {
-      slot_bit_offsets[s] =
-          static_cast<uint64_t>(s) * static_cast<uint64_t>(sh.slot_bits);
-    }
-    const int num_buckets = 11;
-    const size_t logical_bits =
-        static_cast<size_t>(num_buckets) * sh.slots * sh.slot_bits;
-    std::vector<uint64_t> words((logical_bits + 63) / 64 + 1, 0);
-    for (size_t w = 0; w + 1 < words.size(); ++w) words[w] = rng.Next();
-    // Zero bits past the logical end (guard-word contract).
-    const size_t tail = logical_bits % 64;
-    if (tail != 0) words[words.size() - 2] &= (uint64_t{1} << tail) - 1;
-    auto extract = [&](uint64_t bit) {
-      uint64_t w;
-      std::memcpy(&w, reinterpret_cast<const char*>(words.data()) +
-                          (bit >> 3),
-                  sizeof(w));
-      return static_cast<uint32_t>(w >> (bit & 7)) & fp_mask;
-    };
-    for (int b = 0; b < num_buckets; ++b) {
-      const uint64_t bucket_bit =
-          static_cast<uint64_t>(b) * sh.slots * sh.slot_bits;
-      for (int probe = 0; probe < 8; ++probe) {
-        // Mix planted fingerprints (guaranteed hits) with random misses.
-        uint32_t fp = probe < sh.slots
-                          ? extract(bucket_bit + probe * sh.slot_bits)
-                          : static_cast<uint32_t>(
-                                rng.NextBelow(fp_mask + 1ull));
-        uint32_t expected = 0;
-        for (int s = 0; s < sh.slots; ++s) {
-          if (extract(bucket_bit + s * sh.slot_bits) == fp) {
-            expected |= uint32_t{1} << s;
-          }
-        }
-        EXPECT_EQ(bucket_simd::MatchStridedLanes16Avx512(
-                      words.data(), bucket_bit, slot_bit_offsets, sh.slots,
-                      fp_mask, fp),
-                  expected)
-            << "fp_bits=" << sh.fp_bits << " slot_bits=" << sh.slot_bits
-            << " slots=" << sh.slots << " b=" << b << " fp=" << fp;
-      }
-    }
-  }
-}
-
-// Last-bucket edge: under the forced AVX-512 tier, probing the FINAL
-// bucket of a table must stay bit-identical to scalar. The strided
-// kernel's masked gather must not touch lanes past the bucket (their
-// byte addresses could lie beyond the guard word); the ASan CI leg turns
-// any overread into a hard failure.
-TEST(BucketViewTest, Avx512LastBucketGuardWordSafety) {
-  if (!DetectCpuFeatures().avx512) {
-    GTEST_SKIP() << "host CPU lacks AVX-512 (F+BW+VL+DQ)";
-  }
-  SimdTierGuard guard;
-  ASSERT_EQ(SetSimdTier(SimdTier::kAvx512), SimdTier::kAvx512);
+// Last-bucket edge: the per-slot loads read up to 7 bytes past each slot's
+// first byte, so probing the FINAL bucket of a table reads into the
+// BitVector guard word. It must stay bit-identical to scalar; the ASan CI
+// leg turns any read past the guard word into a hard failure.
+TEST(BucketViewTest, LastBucketGuardWordSafety) {
   Rng rng(41);
-  // Strided CCF shape (12+2x8 = 28-bit slots) and the contiguous 16-bit
-  // shape, at bucket counts that leave the last bucket flush against the
-  // end of the bit store at assorted phases.
   for (const Geometry& g : {Geometry{12, 6, 16}, Geometry{12, 4, 16},
                             Geometry{16, 4, 0}, Geometry{16, 8, 0},
-                            Geometry{8, 9, 5}}) {
+                            Geometry{8, 9, 5}, Geometry{4, 2, 0}}) {
     for (uint64_t num_buckets : {1, 2, 3, 5, 16}) {
       auto t = BucketTable::Make(num_buckets, g.slots, g.fp_bits,
                                  g.payload_bits)
@@ -348,6 +213,7 @@ TEST(BucketViewTest, Avx512LastBucketGuardWordSafety) {
         }
       }
       const uint64_t last = t.num_buckets() - 1;
+      t.PrefetchBucket(last);
       std::vector<uint32_t> probes = {0, fp_mask};
       for (int s = 0; s < t.slots_per_bucket(); ++s) {
         probes.push_back(t.fingerprint_any(last, s));
@@ -361,49 +227,10 @@ TEST(BucketViewTest, Avx512LastBucketGuardWordSafety) {
     }
   }
 }
-
-#endif  // CCF_HAVE_AVX512_KERNELS
-
-TEST(CpuFeaturesTest, TierNamesRoundTrip) {
-  for (SimdTier t : {SimdTier::kSwar, SimdTier::kSse2, SimdTier::kAvx2,
-                     SimdTier::kAvx512}) {
-    SimdTier parsed;
-    ASSERT_TRUE(SimdTierFromName(SimdTierName(t), &parsed));
-    EXPECT_EQ(parsed, t);
-  }
-  SimdTier parsed = SimdTier::kAvx2;
-  EXPECT_FALSE(SimdTierFromName("avx1024", &parsed));
-  EXPECT_FALSE(SimdTierFromName("", &parsed));
-  EXPECT_EQ(parsed, SimdTier::kAvx2);  // untouched on failure
-}
-
-TEST(CpuFeaturesTest, SetSimdTierClampsToHardware) {
-  SimdTierGuard guard;
-  const SimdTier best = BestSupportedTier();
-  // SWAR is always supported; forcing it must apply exactly.
-  EXPECT_EQ(SetSimdTier(SimdTier::kSwar), SimdTier::kSwar);
-  EXPECT_EQ(ActiveSimdTier(), SimdTier::kSwar);
-  // Forcing the widest tier applies min(requested, best) — never SIGILL.
-  const SimdTier applied = SetSimdTier(SimdTier::kAvx512);
-  EXPECT_EQ(applied, std::min(SimdTier::kAvx512, best));
-  EXPECT_EQ(ActiveSimdTier(), applied);
-  // Detection is consistent with the tier ordering.
-  const CpuFeatures cpu = DetectCpuFeatures();
-  EXPECT_EQ(best >= SimdTier::kAvx512, cpu.avx512);
-  EXPECT_EQ(best >= SimdTier::kAvx2, cpu.avx2 || cpu.avx512);
-  ResetSimdTier();
-  EXPECT_LE(ActiveSimdTier(), best);
-}
-
-#if defined(__x86_64__) && !defined(__SSE2__)
-#error "x86-64 builds must compile the SSE2 bucket resolver (baseline ISA)"
-#endif
-
 TEST(BucketViewTest, DirectSwarKernelAgreesWithScalar) {
   Rng rng(13);
   for (int width : {1, 4, 8, 12, 16}) {
-    for (int lanes = 1; lanes * width <= bucket_simd::kLoadBits &&
-                        lanes <= bucket_simd::kMaxViewSlots;
+    for (int lanes = 1; lanes * width <= bucket_simd::kLoadBits && lanes <= 16;
          ++lanes) {
       bucket_simd::SwarGeometry g =
           bucket_simd::MakeSwarGeometry(width, lanes);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -478,6 +479,69 @@ TEST(LiveCrudDeserializedTest, TombstonesRejectedWithoutRowLog) {
   // The row is untouched and still serving.
   EXPECT_TRUE(restored->ContainsRow(1, attrs));
   EXPECT_EQ(restored->pending_writes(), 0u);
+}
+
+// Regression: an update group (erase + insert) published while a reader is
+// inside the exact overlay path must never hide the committed row it
+// replaces. The reader probes the staged inserts and then collects the
+// staged erases; both reads must see the same overlay prefix, or the group
+// is seen as its erase alone. Each round stages a long filler run (so an
+// overlay scan is slow and the publish lands inside it) plus one erase
+// (so probes take the exact path), then the writer updates every hot key
+// once while readers probe them, and a commit folds the updates in.
+TEST(LiveCrudUpdateRaceTest, UpdatePublishedMidProbeNeverHidesCommittedRow) {
+  ShardedCcfOptions opts;
+  opts.num_shards = 1;
+  opts.compact_watermark = 0.0;
+  auto sharded = ShardedCcf::Make(CcfVariant::kChained, CrudConfig(23), opts)
+                     .ValueOrDie();
+  constexpr uint64_t kHot = 32;
+  constexpr uint64_t kMarker = kChurnBase - 1;
+  auto hot_attrs = [](uint64_t k, uint64_t version) {
+    return std::vector<uint64_t>{(k * 7 + version) % 200, version % 50};
+  };
+  for (uint64_t k = 0; k < kHot; ++k) {
+    ASSERT_TRUE(sharded->Insert(k, hot_attrs(k, 0)).ok());
+  }
+  const std::vector<uint64_t> marker_attrs = {1, 1};
+  ASSERT_TRUE(sharded->Insert(kMarker, marker_attrs).ok());
+  Rows filler = MakeRows(kChurnBase, 20000, 29);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> false_negatives{0};
+  std::atomic<uint64_t> probes{0};
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t k = rng.NextBelow(kHot);
+      if (!sharded->ContainsKey(k)) false_negatives.fetch_add(1);
+      probes.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread r1(reader, 31), r2(reader, 37);
+  constexpr uint64_t kRounds = 12;
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(sharded->BufferWriteBatch(filler.keys, filler.flat_attrs).ok());
+    ASSERT_TRUE(sharded->BufferErase(kMarker, marker_attrs).ok());
+    for (uint64_t k = 0; k < kHot; ++k) {
+      ASSERT_TRUE(sharded
+                      ->BufferUpdate(k, hot_attrs(k, round),
+                                     hot_attrs(k, round + 1))
+                      .ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    ASSERT_TRUE(sharded->CommitWrites().ok());
+    ASSERT_TRUE(sharded->Insert(kMarker, marker_attrs).ok());
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  EXPECT_GT(probes.load(), 0u);
+  EXPECT_EQ(false_negatives.load(), 0u);
+  for (uint64_t k = 0; k < kHot; ++k) {
+    EXPECT_TRUE(sharded->Contains(
+        k, Predicate::Equals(0, hot_attrs(k, kRounds)[0])));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Range-predicate serving-path tests: the batched dyadic fast path must be
-// bit-identical to the scalar ContainsInRange loop on every variant, every
-// SIMD tier, and every pipeline depth — bulk-built, sharded-with-staged-rows,
+// bit-identical to the scalar ContainsInRange loop on every variant and
+// every pipeline depth — bulk-built, sharded-with-staged-rows,
 // serialized/alias-loaded, and catalog-served alike — and RangeCcf::Insert
 // must be all-or-nothing per row (a mid-η capacity failure may not leave
 // partial dyadic levels behind).
@@ -18,7 +18,6 @@
 #include "ccf/sharded_ccf.h"
 #include "predicate/dyadic.h"
 #include "serve/filter_catalog.h"
-#include "util/cpu_features.h"
 #include "util/batch_pipeline.h"
 #include "util/file_io.h"
 #include "util/random.h"
@@ -114,16 +113,13 @@ std::vector<uint64_t> MakeProbes(size_t n, uint64_t seed) {
 
 class RangeBatchDifferentialTest : public ::testing::TestWithParam<CcfVariant> {
  protected:
-  void TearDown() override {
-    SetSimdTier(SimdTier::kSwar);
-    SetSimdTier(BestSupportedTier());
-    SetBatchPipelineWay(0);
-  }
+  void TearDown() override { SetBatchPipelineWay(0); }
 };
 
 // The tentpole invariant: one compiled cover broadcast through the batch
-// pipeline answers exactly like the per-key scalar loop, across SIMD tiers
-// and pipeline interleave widths.
+// pipeline answers exactly like the per-key scalar loop, across pipeline
+// interleave widths. (The bucket kernel is a single portable one, so the
+// former SIMD-tier axis of this sweep has one point.)
 TEST_P(RangeBatchDifferentialTest, BatchedMatchesScalarAcrossTiersAndWays) {
   RangeRows rows = MakeRows(3000, 11);
   auto filter = RangeCcf::Make(GetParam(), RangeConfig(29), kRangeAttr,
@@ -132,12 +128,9 @@ TEST_P(RangeBatchDifferentialTest, BatchedMatchesScalarAcrossTiersAndWays) {
   ASSERT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
   std::vector<uint64_t> probes = MakeProbes(4000, 13);
 
-  for (int tier = 0; tier <= static_cast<int>(BestSupportedTier()); ++tier) {
-    SetSimdTier(static_cast<SimdTier>(tier));
-    for (size_t way : {size_t{1}, size_t{2}, size_t{8}}) {
-      SetBatchPipelineWay(way);
-      ExpectBatchedMatchesScalar(*filter, probes, "bulk");
-    }
+  for (size_t way : {size_t{1}, size_t{2}, size_t{8}}) {
+    SetBatchPipelineWay(way);
+    ExpectBatchedMatchesScalar(*filter, probes, "bulk");
   }
 }
 
