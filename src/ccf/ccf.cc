@@ -218,6 +218,17 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> DeserializeCcfImpl(
   CcfVariant variant = static_cast<CcfVariant>(variant_tag);
   CcfConfig config;
   CCF_RETURN_NOT_OK(ReadConfig(&reader, &config));
+  // Make allocates the header's geometry before LoadState reads a byte of
+  // it: bound the table by the blob first. Key fingerprint plus attribute
+  // vector (Bloom: sketch) is a lower bound on every variant's slot width.
+  const int64_t payload_bits =
+      variant == CcfVariant::kBloom
+          ? int64_t{config.bloom_bits}
+          : int64_t{config.num_attrs} * config.attr_fp_bits;
+  CCF_RETURN_NOT_OK(BucketTable::CheckSerializedSize(
+      config.num_buckets, config.slots_per_bucket,
+      int64_t{config.key_fp_bits} + std::max<int64_t>(payload_bits, 0),
+      reader.remaining()));
   CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> ccf,
                        ConditionalCuckooFilter::Make(variant, config));
   auto* base = static_cast<CcfBase*>(ccf.get());
@@ -261,8 +272,15 @@ ConditionalCuckooFilter::Deserialize(std::string_view data,
 
 ChainWalk::ChainWalk(const Hasher* hasher, uint64_t bucket_mask,
                      uint64_t start_bucket, uint32_t fp)
-    : hasher_(hasher), bucket_mask_(bucket_mask), fp_(fp) {
+    : hasher_(hasher), bucket_mask_(bucket_mask) {
+  Restart(start_bucket, fp);
+}
+
+void ChainWalk::Restart(uint64_t start_bucket, uint32_t fp) {
+  fp_ = fp;
   pair_ = MakePair(start_bucket);
+  hops_ = 0;
+  visited_.clear();
   visited_.push_back(pair_.Canonical(bucket_mask_ + 1));
 }
 
@@ -365,88 +383,12 @@ bool CcfBase::EraseRowMemoized(uint64_t key_hash, uint64_t payload) {
 Status CcfBase::InsertBatch(std::span<const uint64_t> keys,
                             std::span<const uint64_t> attrs,
                             std::vector<uint64_t>* hash_memo) {
-  const size_t num_attrs = static_cast<size_t>(config_.num_attrs);
-  if (attrs.size() != keys.size() * num_attrs) {
-    return Status::Invalid(
-        "InsertBatch: attrs must hold keys.size() * num_attrs values");
-  }
-  if (hash_memo != nullptr && !hash_memo->empty() &&
-      hash_memo->size() != 2 * keys.size()) {
-    return Status::Invalid(
-        "InsertBatch: hash_memo must be empty or hold two words per key");
-  }
-  const bool reuse_memo = hash_memo != nullptr && !hash_memo->empty();
-  const bool fill_memo = hash_memo != nullptr && !reuse_memo;
-  if (fill_memo) hash_memo->resize(2 * keys.size());
-  EnsureTableUnique();
-  BucketTable& table = *table_;
-
-  struct Addr {
-    uint64_t cluster_key;
-    BucketPair pair;
-    uint64_t payload;
-    uint32_t fp;
-  };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(table.bucket_mask());
-  options.block_size = kInsertBatchBlock;
-  Status first_error = Status::OK();
-  RunBatchPipelineTwoWave<Addr>(
-      keys.size(), options,
-      [&](size_t i) {
-        Addr a;
-        // The memo caches the geometry-independent half of the row's hash
-        // pipeline: the salt-keyed key hash (bucket = low bits & mask and
-        // fingerprint = high bits are pure re-maskings, so it survives any
-        // bucket doubling under the same salt) and the packed payload word
-        // (attribute fingerprints / sketch bits, which never depend on the
-        // bucket count at all).
-        uint64_t h, payload;
-        if (reuse_memo) {
-          h = (*hash_memo)[2 * i];
-          payload = (*hash_memo)[2 * i + 1];
-        } else {
-          h = hasher_.Hash(keys[i], 0);
-          payload = PackRowPayload(attrs.subspan(i * num_attrs, num_attrs));
-        }
-        if (fill_memo) {
-          (*hash_memo)[2 * i] = h;
-          (*hash_memo)[2 * i + 1] = payload;
-        }
-        uint64_t bucket;
-        cuckoo_addressing::IndexAndFingerprintFromHash(
-            h, table.bucket_mask(), config_.key_fp_bits, &bucket, &a.fp);
-        a.pair = PairOf(bucket, a.fp);
-        a.payload = payload;
-        a.cluster_key = a.pair.primary;
-        return a;
-      },
-      [&](const Addr& a) {
-        // Write intent: nearly every row both scans and stores to its pair,
-        // so pull the lines exclusive and skip the RFO upgrade.
-        table.PrefetchBucketForWrite(a.pair.primary);
-        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
-      },
-      [&](size_t i, Addr& a) {
-        if (!first_error.ok()) return true;  // drain the batch cheaply
-        return TryInsertNoKick(a.pair, a.fp,
-                               attrs.subspan(i * num_attrs, num_attrs),
-                               a.payload);
-      },
-      [&](const Addr& a) {
-        // Deferred rows re-touch their pair after the rest of the block's
-        // wave 1 may have evicted it; re-issue the pair prefetch (kick
-        // chains then wander to buckets nobody can predict).
-        table.PrefetchBucketForWrite(a.pair.primary);
-        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
-      },
-      [&](size_t i, const Addr& a) {
-        if (!first_error.ok()) return;
-        Status st = InsertAddressed(a.pair, a.fp,
-                                    attrs.subspan(i * num_attrs, num_attrs));
-        if (!st.ok()) first_error = std::move(st);
+  return InsertBatchWith(
+      keys, attrs, hash_memo, [] {},
+      [this](const BucketPair& pair, uint32_t fp,
+             std::span<const uint64_t> row, uint64_t /*payload*/) {
+        return InsertAddressed(pair, fp, row);
       });
-  return first_error;
 }
 
 void CcfBase::KeyAddress(uint64_t key, uint64_t* bucket, uint32_t* fp) const {

@@ -45,8 +45,9 @@ struct CcfConfig {
   int num_attrs = 1;
   /// d — max duplicate key fingerprints per bucket pair (paper uses 3).
   int max_dupes = 3;
-  /// Lmax — maximum chain length; 0 means unbounded (∞ in the paper's
-  /// multiset experiments), internally capped by kHardChainCap.
+  /// Lmax — maximum chain length. 0 means unbounded (∞ in the paper's
+  /// multiset experiments) and is then capped at kHardChainCap; a positive
+  /// value is used as given.
   int max_chain = 0;
   /// Bloom attribute sketch bits per entry (Bloom variant only).
   int bloom_bits = 16;
@@ -63,12 +64,14 @@ struct CcfConfig {
   uint64_t salt = 0;
   /// MaxKicks for cuckoo displacement.
   int max_kicks = 500;
-  /// Scalar Insert takes the historical per-attribute SlotsWithFp path when
-  /// true (the default), pinning pre-existing builds bit-for-bit
-  /// (`ccf_joblight --build scalar` relies on it). false enables the
-  /// packed-compare scalar fast path: displacement-free rows dedupe via one
-  /// word compare and land via one PutSlot field store (the batched wave-1
-  /// placement, applied row-at-a-time). Build-time knob; not serialized.
+  /// When true (the default) every scalar Insert runs the variant's full
+  /// addressed insertion (Algorithm 3/4: dedupe, kicks, chain walk,
+  /// conversion), which pins row-at-a-time builds bit-for-bit
+  /// (`ccf_joblight --build scalar` relies on it). false first tries the
+  /// batched build's displacement-free wave-1 placement on each row (one
+  /// word compare per duplicate, one PutSlot field store) and falls back
+  /// to the full insertion only when that cannot settle the row.
+  /// Build-time knob; not serialized.
   bool reproducible_scalar = true;
 };
 

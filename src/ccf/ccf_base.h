@@ -6,6 +6,7 @@
 #define CCF_CCF_CCF_BASE_H_
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
@@ -48,6 +49,10 @@ class ChainWalk {
 
   const BucketPair& pair() const { return pair_; }
   int hops() const { return hops_; }
+
+  /// Restarts at hop 0 of another chain, reusing the visited buffer (the
+  /// insert path's chain cursor walks many chains per batch).
+  void Restart(uint64_t start_bucket, uint32_t fp);
 
   /// Moves to the next bucket pair: ℓ̃ = h(min{ℓ,ℓ′}, κ), skipping already
   /// visited pairs via rehash rounds (bounded; falls through after
@@ -194,7 +199,9 @@ class CcfBase : public ConditionalCuckooFilter {
   /// leftovers with the full scalar logic (InsertAddressed: kicks, chain
   /// walks, Bloom conversion). Deterministic: identical inputs (and memo
   /// state) yield bit-identical tables, which is what makes memoized
-  /// doubling rebuilds reproducible against from-scratch ones.
+  /// doubling rebuilds reproducible against from-scratch ones. The chained
+  /// variant overrides this to run the same pipeline with a per-call chain
+  /// cursor in wave 2 (see InsertBatchWith).
   Status InsertBatch(std::span<const uint64_t> keys,
                      std::span<const uint64_t> attrs,
                      std::vector<uint64_t>* hash_memo = nullptr) override;
@@ -246,6 +253,24 @@ class CcfBase : public ConditionalCuckooFilter {
         [&](size_t i, const Addr& a) { out[i] = resolve(i, a.pair, a.fp); });
   }
 
+  /// The body of every CcfBase-derived InsertBatch: validation, the memo
+  /// handshake and the two-wave pipeline, with the wave-2 step supplied by
+  /// the caller. `wave2(pair, fp, attrs, payload)` completes one deferred
+  /// row (`payload` is its PackRowPayload word, possibly from the memo) and
+  /// returns its Status; `on_wave1()` runs before every wave-1 row.
+  ///
+  /// Wave-2 state may outlive one deferred row (ChainedCcf keeps a chain
+  /// cursor in its frame) because the pipeline runs a block's whole wave 1
+  /// before its wave 2 and nothing between two wave-2 rows of a block: the
+  /// only table writes a wave-2 row can meet since the previous wave-2 row
+  /// are that row's own placement and kicks, or — across a block boundary
+  /// — the next block's wave 1, which `on_wave1` announces.
+  template <typename OnWave1, typename Wave2>
+  Status InsertBatchWith(std::span<const uint64_t> keys,
+                         std::span<const uint64_t> attrs,
+                         std::vector<uint64_t>* hash_memo, OnWave1&& on_wave1,
+                         Wave2&& wave2);
+
   /// The payload word wave 1 would store for this row — the packed
   /// attribute-fingerprint vector (Plain/Chained), the vector shifted past
   /// the mode/seq bits (Mixed), or the row's composed Bloom sketch word
@@ -267,9 +292,11 @@ class CcfBase : public ConditionalCuckooFilter {
                                std::span<const uint64_t> attrs,
                                uint64_t payload) = 0;
 
-  /// Wave-2 hook of InsertBatch and the body of the scalar Insert: the
-  /// variant's complete insertion logic from a precomputed address
-  /// (Algorithm 3/4 placement with kicks / chain walk / conversion).
+  /// Wave-2 hook of CcfBase::InsertBatch and the body of the scalar
+  /// Insert: the variant's complete insertion logic from a precomputed
+  /// address (Algorithm 3/4 placement with kicks / chain walk /
+  /// conversion). The chained variant's own InsertBatch runs the same
+  /// logic through its per-call chain cursor instead.
   virtual Status InsertAddressed(const BucketPair& pair, uint32_t fp,
                                  std::span<const uint64_t> attrs) = 0;
 
@@ -407,13 +434,13 @@ class CcfBase : public ConditionalCuckooFilter {
     }
   }
 
-  /// Packed-compare scalar Insert fast path (ROADMAP item): reuses the
-  /// variant's displacement-free wave-1 placement (single-word dupe compare
-  /// + PutSlot free-slot store) for row-at-a-time writers. Gated off by
-  /// config.reproducible_scalar (the default) because per-row placement can
-  /// in principle differ from the historical SlotsWithFp path on exotic
-  /// geometries — `ccf_joblight --build scalar` outputs stay bit-identical
-  /// unless a caller opts in. Returns true when the row was fully handled.
+  /// Packed-compare scalar Insert fast path: reuses the variant's
+  /// displacement-free wave-1 placement (single-word dupe compare + PutSlot
+  /// free-slot store) for row-at-a-time writers. Gated off by
+  /// config.reproducible_scalar (the default), under which every scalar row
+  /// runs the full InsertAddressed, so `ccf_joblight --build scalar`
+  /// outputs stay bit-identical unless a caller opts in. Returns true when
+  /// the row was fully handled.
   bool ScalarInsertFast(const BucketPair& pair, uint32_t fp,
                         std::span<const uint64_t> attrs) {
     if (config_.reproducible_scalar) return false;
@@ -523,6 +550,96 @@ bool CcfBase::PlaceWithKicks(const BucketPair& pair, uint32_t fp,
   table_->Put(nb, ns, fp);
   payload_writer(nb, ns);
   return true;
+}
+
+template <typename OnWave1, typename Wave2>
+Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
+                                std::span<const uint64_t> attrs,
+                                std::vector<uint64_t>* hash_memo,
+                                OnWave1&& on_wave1, Wave2&& wave2) {
+  const size_t num_attrs = static_cast<size_t>(config_.num_attrs);
+  if (attrs.size() != keys.size() * num_attrs) {
+    return Status::Invalid(
+        "InsertBatch: attrs must hold keys.size() * num_attrs values");
+  }
+  if (hash_memo != nullptr && !hash_memo->empty() &&
+      hash_memo->size() != 2 * keys.size()) {
+    return Status::Invalid(
+        "InsertBatch: hash_memo must be empty or hold two words per key");
+  }
+  const bool reuse_memo = hash_memo != nullptr && !hash_memo->empty();
+  const bool fill_memo = hash_memo != nullptr && !reuse_memo;
+  if (fill_memo) hash_memo->resize(2 * keys.size());
+  EnsureTableUnique();
+  BucketTable& table = *table_;
+
+  struct Addr {
+    uint64_t cluster_key;
+    BucketPair pair;
+    uint64_t payload;
+    uint32_t fp;
+  };
+  BatchPipelineOptions options;
+  options.cluster_bits = std::bit_width(table.bucket_mask());
+  options.block_size = kInsertBatchBlock;
+  Status first_error = Status::OK();
+  RunBatchPipelineTwoWave<Addr>(
+      keys.size(), options,
+      [&](size_t i) {
+        Addr a;
+        // The memo caches the geometry-independent half of the row's hash
+        // pipeline: the salt-keyed key hash (bucket = low bits & mask and
+        // fingerprint = high bits are pure re-maskings, so it survives any
+        // bucket doubling under the same salt) and the packed payload word
+        // (attribute fingerprints / sketch bits, which never depend on the
+        // bucket count at all).
+        uint64_t h, payload;
+        if (reuse_memo) {
+          h = (*hash_memo)[2 * i];
+          payload = (*hash_memo)[2 * i + 1];
+        } else {
+          h = hasher_.Hash(keys[i], 0);
+          payload = PackRowPayload(attrs.subspan(i * num_attrs, num_attrs));
+        }
+        if (fill_memo) {
+          (*hash_memo)[2 * i] = h;
+          (*hash_memo)[2 * i + 1] = payload;
+        }
+        uint64_t bucket;
+        cuckoo_addressing::IndexAndFingerprintFromHash(
+            h, table.bucket_mask(), config_.key_fp_bits, &bucket, &a.fp);
+        a.pair = PairOf(bucket, a.fp);
+        a.payload = payload;
+        a.cluster_key = a.pair.primary;
+        return a;
+      },
+      [&](const Addr& a) {
+        // Write intent: nearly every row both scans and stores to its pair,
+        // so pull the lines exclusive and skip the RFO upgrade.
+        table.PrefetchBucketForWrite(a.pair.primary);
+        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
+      },
+      [&](size_t i, Addr& a) {
+        if (!first_error.ok()) return true;  // drain the batch cheaply
+        on_wave1();
+        return TryInsertNoKick(a.pair, a.fp,
+                               attrs.subspan(i * num_attrs, num_attrs),
+                               a.payload);
+      },
+      [&](const Addr& a) {
+        // Deferred rows re-touch their pair after the rest of the block's
+        // wave 1 may have evicted it; re-issue the pair prefetch (kick
+        // chains then wander to buckets nobody can predict).
+        table.PrefetchBucketForWrite(a.pair.primary);
+        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
+      },
+      [&](size_t i, const Addr& a) {
+        if (!first_error.ok()) return;
+        Status st = wave2(a.pair, a.fp,
+                          attrs.subspan(i * num_attrs, num_attrs), a.payload);
+        if (!st.ok()) first_error = std::move(st);
+      });
+  return first_error;
 }
 
 /// \brief Derived key filter produced by predicate-only queries on

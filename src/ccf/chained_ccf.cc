@@ -1,5 +1,6 @@
 #include "ccf/chained_ccf.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "ccf/entry_match.h"
@@ -39,32 +40,124 @@ Status ChainedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
   return InsertAddressed(pair, fp, attrs);
 }
 
+Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
+                               std::span<const uint64_t> attrs,
+                               std::vector<uint64_t>* hash_memo) {
+  // One cursor per call, never member state: it is only sound while no
+  // writer but this batch's wave 2 touches the table.
+  ChainCursor cursor;
+  return InsertBatchWith(
+      keys, attrs, hash_memo, [&] { cursor.Reset(); },
+      [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
+          uint64_t payload) {
+        return InsertThroughCursor(pair, fp, row, payload, &cursor);
+      });
+}
+
 Status ChainedCcf::InsertAddressed(const BucketPair& first_pair, uint32_t fp,
                                    std::span<const uint64_t> attrs) {
-  ChainWalk walk(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
-  for (int hop = 0; hop < ChainCap(); ++hop) {
-    const BucketPair& pair = walk.pair();
+  ChainCursor cursor;
+  return InsertThroughCursor(first_pair, fp, attrs, PackRowPayload(attrs),
+                             &cursor);
+}
 
-    // Algorithm 4: success if the identical (κ, α) entry already exists.
-    auto slots = SlotsWithFp(pair, fp);
-    for (const auto& [b, s] : slots) {
-      if (codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs)) {
-        if (hop > max_chain_seen_) max_chain_seen_ = hop;
-        return Status::OK();
+void ChainedCcf::ExtendCursor(const BucketPair& first_pair,
+                              ChainCursor* cursor) const {
+  const size_t hop = cursor->hops.size();
+  BucketPair pair = first_pair;
+  if (hop > 0) {
+    if (hop == 1) {
+      if (cursor->walk) {
+        cursor->walk->Restart(first_pair.primary, cursor->fp);
+      } else {
+        cursor->walk.emplace(&hasher_, table_->bucket_mask(),
+                             first_pair.primary, cursor->fp);
       }
     }
+    cursor->walk->Advance();
+    pair = cursor->walk->pair();
+  }
+  const bool packed = table_->slot_bits() <= 64;
+  const int vec_bits = codec_.vector_bits();
+  const size_t stride = 2 * static_cast<size_t>(table_->slots_per_bucket());
+  if (packed && cursor->words.size() < (hop + 1) * stride) {
+    cursor->words.resize((hop + 1) * stride);
+  }
+  int count = 0;
+  ScanPairWithFp(pair, cursor->fp, [&](uint64_t b, int s) {
+    if (packed) {
+      cursor->words[hop * stride + static_cast<size_t>(count)] =
+          table_->GetPayloadField(b, s, 0, vec_bits);
+    }
+    ++count;
+    return false;
+  });
+  cursor->hops.push_back(ChainCursor::Hop{
+      pair, pair.Canonical(table_->num_buckets()), count});
+}
 
-    if (static_cast<int>(slots.size()) >= config_.max_dupes) {
-      walk.Advance();  // pair saturated with κ copies: next pair (ℓ̃)
-      continue;
+Status ChainedCcf::InsertThroughCursor(const BucketPair& first_pair,
+                                       uint32_t fp,
+                                       std::span<const uint64_t> attrs,
+                                       uint64_t payload,
+                                       ChainCursor* cursor) {
+  if (cursor->primary != first_pair.primary || cursor->fp != fp) {
+    cursor->primary = first_pair.primary;
+    cursor->fp = fp;
+    cursor->Reset();
+  }
+  const bool packed = table_->slot_bits() <= 64;
+  const int vec_bits = codec_.vector_bits();
+  const size_t stride = 2 * static_cast<size_t>(table_->slots_per_bucket());
+  for (int hop = 0; hop < ChainCap(); ++hop) {
+    const size_t h = static_cast<size_t>(hop);
+    if (h == cursor->hops.size()) ExtendCursor(first_pair, cursor);
+    const ChainCursor::Hop& cur = cursor->hops[h];
+    CCF_DCHECK(cur.count == CountFpInPair(cur.pair, fp));
+
+    // Algorithm 4: success if the identical (κ, α) entry already exists —
+    // one word compare per cached copy, or the per-attribute matcher where
+    // no packed payload word exists.
+    bool dup;
+    if (packed) {
+      const uint64_t* words = cursor->words.data() + h * stride;
+      dup = std::find(words, words + cur.count, payload) != words + cur.count;
+    } else {
+      dup = ScanPairWithFp(cur.pair, fp, [&](uint64_t b, int s) {
+              return codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs);
+            }).second;
+    }
+    if (dup) {
+      if (hop > max_chain_seen_) max_chain_seen_ = hop;
+      return Status::OK();
     }
 
-    bool placed = PlaceWithKicks(pair, fp, [&](uint64_t b, int s) {
-      codec_.Store(table_.get(), b, s, /*base=*/0, attrs);
+    // Pair saturated with κ copies: next pair (ℓ̃).
+    if (cur.count >= config_.max_dupes) continue;
+
+    bool placed = PlaceWithKicks(cur.pair, fp, [&](uint64_t b, int s) {
+      if (packed) {
+        table_->SetPayloadField(b, s, 0, vec_bits, payload);
+      } else {
+        codec_.Store(table_.get(), b, s, /*base=*/0, attrs);
+      }
     });
     if (!placed) {
+      cursor->Reset();
       return Status::CapacityError(
           "chained CCF: cuckoo kick budget exhausted");
+    }
+    // The new copy joins every cached hop on this pair: past ChainWalk's
+    // cycle-extension rounds one pair can sit at two hop indices.
+    const uint64_t canonical = cur.canonical;
+    for (size_t i = 0; i < cursor->hops.size(); ++i) {
+      ChainCursor::Hop& other = cursor->hops[i];
+      if (other.canonical != canonical) continue;
+      CCF_DCHECK(static_cast<size_t>(other.count) < stride);
+      if (packed) {
+        cursor->words[i * stride + static_cast<size_t>(other.count)] = payload;
+      }
+      ++other.count;
     }
     if (hop > max_chain_seen_) max_chain_seen_ = hop;
     ++num_rows_;

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "ccf/ccf_base.h"
 
@@ -27,6 +28,14 @@ class ChainedCcf : public CcfBase {
   ///    represented and the caller must stop/resize (this is the "failed
   ///    insertion" event of Figure 4).
   Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
+
+  /// CcfBase's two-wave bulk build with a chain cursor in wave 2: a run of
+  /// consecutive deferred rows with the same (first-pair primary, fp) — the
+  /// η label rows of one key in a range build — walks its chain once
+  /// instead of once per row. Bit-identical to per-row InsertAddressed.
+  Status InsertBatch(std::span<const uint64_t> keys,
+                     std::span<const uint64_t> attrs,
+                     std::vector<uint64_t>* hash_memo = nullptr) override;
 
   bool ContainsKey(uint64_t key) const override;
   bool Contains(uint64_t key, const Predicate& pred) const override;
@@ -72,6 +81,50 @@ class ChainedCcf : public CcfBase {
 
  private:
   ChainedCcf(CcfConfig config, BucketTable table);
+
+  /// The hops of one chain — a (first-pair primary, fp) — walked so far,
+  /// each with its fp-copy count and, on packed geometries, the payload
+  /// words of those copies. Rows of the same chain check duplicates and
+  /// saturation against it instead of rescanning the table, and extend the
+  /// walk from the last cached hop instead of hop 0.
+  ///
+  /// Sound because a kick moves a resident only to the other bucket of its
+  /// own pair (an fp's pairs partition the buckets), so a pair's fp-copy
+  /// count and payload multiset change only when a row is placed INTO that
+  /// pair — and InsertThroughCursor records every such placement. Any other
+  /// writer makes the cursor stale, so it lives in one InsertBatch frame
+  /// (or one scalar Insert) and resets before every wave-1 row (see
+  /// CcfBase::InsertBatchWith) and after a failed placement.
+  struct ChainCursor {
+    struct Hop {
+      BucketPair pair;
+      uint64_t canonical;  // BucketPair::Canonical
+      int count;           // fp copies in the pair
+    };
+    uint64_t primary = 0;
+    uint32_t fp = 0;
+    std::vector<Hop> hops;
+    /// Hop h's copies: words[h * stride, h * stride + count), stride = the
+    /// pair's slot count (packed geometries only).
+    std::vector<uint64_t> words;
+    /// Positioned at hops.back() once the chain has left its first pair.
+    std::optional<ChainWalk> walk;
+
+    void Reset() { hops.clear(); }
+  };
+
+  /// Algorithm 4 through `cursor`: the one chained insertion loop, behind
+  /// both wave 2 of InsertBatch and the scalar InsertAddressed. `payload`
+  /// is PackRowPayload(attrs) (ignored when slot_bits() > 64, where
+  /// duplicates are matched per attribute). Kept out of line: the batch
+  /// pipeline loop is flattened, and inlining this (with PlaceWithKicks)
+  /// into it tripled the loop's code and slowed distinct-key builds.
+  [[gnu::noinline]] Status InsertThroughCursor(
+      const BucketPair& first_pair, uint32_t fp,
+      std::span<const uint64_t> attrs, uint64_t payload, ChainCursor* cursor);
+
+  /// Appends the cursor's next hop, read from the table.
+  void ExtendCursor(const BucketPair& first_pair, ChainCursor* cursor) const;
 
   /// Algorithm 5's walk with a pluggable entry matcher (raw predicate or
   /// precompiled fingerprints), starting from the key's already-computed

@@ -66,13 +66,14 @@ Status RangeCcf::ExpandRow(uint64_t key, std::span<const uint64_t> attrs,
     return Status::Invalid("attribute count does not match schema");
   }
   uint64_t value = attrs[static_cast<size_t>(range_attr_)];
-  CCF_ASSIGN_OR_RETURN(std::vector<DyadicInterval> labels,
-                       DyadicLabels(value, max_level_));
-  for (const DyadicInterval& interval : labels) {
+  CCF_RETURN_NOT_OK(ValidateDyadicValue(value, max_level_));
+  // The η labels of DyadicLabels(value, max_level_), written in place.
+  for (int level = 0; level <= max_level_; ++level) {
     keys->push_back(key);
     size_t base = out_attrs->size();
     out_attrs->insert(out_attrs->end(), attrs.begin(), attrs.end());
-    (*out_attrs)[base + static_cast<size_t>(range_attr_)] = interval.Label();
+    (*out_attrs)[base + static_cast<size_t>(range_attr_)] =
+        DyadicInterval{level, value >> level}.Label();
   }
   return Status::OK();
 }

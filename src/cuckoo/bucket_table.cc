@@ -164,6 +164,27 @@ void BucketTable::Save(ByteWriter* writer) const {
   occupied_.Save(writer);
 }
 
+Status BucketTable::CheckSerializedSize(uint64_t num_buckets,
+                                        int64_t slots_per_bucket,
+                                        int64_t slot_bits, size_t available) {
+  if (slots_per_bucket <= 0) return Status::OK();  // Make rejects it
+  using U128 = unsigned __int128;
+  // < 2^96: no overflow for any header values.
+  const U128 bits_per_bucket =
+      static_cast<U128>(slots_per_bucket) *
+      static_cast<U128>(std::max<int64_t>(slot_bits, 0) + 1);
+  const U128 max_buckets =
+      (static_cast<U128>(available) * 8 + 7) / bits_per_bucket;
+  // Make rounds the bucket count up to a power of two.
+  if (num_buckets > (uint64_t{1} << 63) ||
+      static_cast<U128>(NextPowerOfTwo(num_buckets)) > max_buckets) {
+    return Status::OutOfRange(
+        "serialized buffer truncated: the table geometry in its header "
+        "needs more bytes than remain");
+  }
+  return Status::OK();
+}
+
 Result<BucketTable> BucketTable::Load(ByteReader* reader,
                                       const AliasMapping* alias) {
   CCF_ASSIGN_OR_RETURN(uint64_t num_buckets, reader->ReadU64());
@@ -171,6 +192,9 @@ Result<BucketTable> BucketTable::Load(ByteReader* reader,
   CCF_ASSIGN_OR_RETURN(uint32_t fp_bits, reader->ReadU32());
   CCF_ASSIGN_OR_RETURN(uint32_t payload_bits, reader->ReadU32());
   CCF_ASSIGN_OR_RETURN(uint64_t num_occupied, reader->ReadU64());
+  CCF_RETURN_NOT_OK(CheckSerializedSize(
+      num_buckets, slots, int64_t{fp_bits} + int64_t{payload_bits},
+      reader->remaining()));
   CCF_ASSIGN_OR_RETURN(
       BucketTable table,
       BucketTable::Make(num_buckets, static_cast<int>(slots),

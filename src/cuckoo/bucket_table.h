@@ -220,6 +220,15 @@ class BucketTable {
 
   /// Serializes geometry + contents.
   void Save(ByteWriter* writer) const;
+  /// OutOfRange (truncated) unless `available` bytes can hold the slot and
+  /// occupancy bit arrays of a table with this geometry (`slot_bits` per
+  /// slot plus one occupancy bit). Deserializers run it on header fields
+  /// BEFORE Make, so a patched bucket count cannot demand an allocation the
+  /// blob does not back; a lower bound on `slot_bits` is enough for that.
+  static Status CheckSerializedSize(uint64_t num_buckets,
+                                    int64_t slots_per_bucket,
+                                    int64_t slot_bits, size_t available);
+
   /// Restores a table written by Save. With `alias` non-null the slot and
   /// occupancy BitVectors reference the reader's buffer in place where
   /// alignment permits (see BitVector::Load).

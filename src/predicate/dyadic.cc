@@ -4,13 +4,11 @@
 
 namespace ccf {
 
-namespace {
-
-Status ValidateDyadicArgs(uint64_t bound, int max_level) {
+Status ValidateDyadicValue(uint64_t value, int max_level) {
   if (max_level < 0 || max_level > kMaxDyadicLevel) {
     return Status::Invalid("max_level must be in [0, 57]");
   }
-  if (bound >= kDyadicDomainSize) {
+  if (value >= kDyadicDomainSize) {
     return Status::Invalid(
         "dyadic value out of domain (must be < 2^58: the level-0 index "
         "would alias into the packed level field)");
@@ -18,11 +16,9 @@ Status ValidateDyadicArgs(uint64_t bound, int max_level) {
   return Status::OK();
 }
 
-}  // namespace
-
 Result<std::vector<DyadicInterval>> DyadicLabels(uint64_t value,
                                                  int max_level) {
-  CCF_RETURN_NOT_OK(ValidateDyadicArgs(value, max_level));
+  CCF_RETURN_NOT_OK(ValidateDyadicValue(value, max_level));
   std::vector<DyadicInterval> out;
   out.reserve(static_cast<size_t>(max_level) + 1);
   for (int level = 0; level <= max_level; ++level) {
@@ -33,8 +29,8 @@ Result<std::vector<DyadicInterval>> DyadicLabels(uint64_t value,
 
 Result<std::vector<DyadicInterval>> DyadicCover(uint64_t lo, uint64_t hi,
                                                 int max_level) {
-  CCF_RETURN_NOT_OK(ValidateDyadicArgs(lo, max_level));
-  CCF_RETURN_NOT_OK(ValidateDyadicArgs(hi, max_level));
+  CCF_RETURN_NOT_OK(ValidateDyadicValue(lo, max_level));
+  CCF_RETURN_NOT_OK(ValidateDyadicValue(hi, max_level));
   std::vector<DyadicInterval> out;
   while (lo <= hi) {
     // Largest level ≤ max_level such that lo is aligned and the interval

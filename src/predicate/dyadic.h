@@ -38,10 +38,15 @@ struct DyadicInterval {
   bool operator==(const DyadicInterval& other) const = default;
 };
 
+/// InvalidArgument when max_level is outside [0, kMaxDyadicLevel] or value
+/// >= kDyadicDomainSize (the level-0 index would alias into the packed
+/// level field); OK exactly when DyadicLabels(value, max_level) succeeds.
+/// Lets callers write the labels (DyadicInterval{level, value >> level})
+/// straight into their own buffers.
+Status ValidateDyadicValue(uint64_t value, int max_level);
+
 /// All dyadic intervals containing `value`, levels 0..max_level inclusive
-/// (the η insertions per item of §9.1). InvalidArgument when max_level is
-/// outside [0, kMaxDyadicLevel] or value >= kDyadicDomainSize (the level-0
-/// index would alias into the packed level field).
+/// (the η insertions per item of §9.1). Errors as ValidateDyadicValue.
 Result<std::vector<DyadicInterval>> DyadicLabels(uint64_t value,
                                                  int max_level);
 

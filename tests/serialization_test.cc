@@ -3,10 +3,15 @@
 // without crashing.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ccf/ccf.h"
+#include "ccf/range_ccf.h"
+#include "ccf/sharded_ccf.h"
 #include "cuckoo/cuckoo_filter.h"
 #include "util/random.h"
 #include "util/serde.h"
@@ -161,6 +166,123 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CcfVariant>& pinfo) {
       return std::string(CcfVariantName(pinfo.param));
     });
+
+
+// --- Hostile geometry --------------------------------------------------------
+//
+// A structurally valid blob whose bucket count is patched far beyond what
+// its bytes back must come back as an error Status — never an allocation
+// attempt sized by the header (which aborted the process with an uncaught
+// std::bad_alloc).
+
+constexpr uint64_t kHostileBuckets = 1024;
+
+CcfConfig HostileConfig() {
+  CcfConfig config;
+  config.num_buckets = kHostileBuckets;
+  config.slots_per_bucket = 4;
+  config.key_fp_bits = 12;
+  config.attr_fp_bits = 8;
+  config.num_attrs = 2;
+  config.salt = 3;
+  return config;
+}
+
+// Offset of the first plain-CCF ("CCF2") sub-blob in `blob`, verified by its
+// variant tag and header bucket count.
+size_t CcfBlobOffset(const std::string& blob, uint64_t num_buckets) {
+  const char magic[4] = {'2', 'F', 'C', 'C'};  // 0x43434632, little-endian
+  for (size_t at = blob.find(std::string(magic, 4)); at != std::string::npos;
+       at = blob.find(std::string(magic, 4), at + 1)) {
+    uint64_t header;
+    if (at + 13 > blob.size()) break;
+    std::memcpy(&header, blob.data() + at + 5, 8);
+    if (blob[at + 4] == static_cast<char>(CcfVariant::kChained) &&
+        header == num_buckets) {
+      return at;
+    }
+  }
+  ADD_FAILURE() << "no CCF2 sub-blob found";
+  return 0;
+}
+
+// Offsets of the two bucket counts of a CCF2 blob at `at`: the config
+// header's (after magic + variant tag) and the table header's (after the
+// 54-byte config and the u64 row count).
+std::vector<size_t> BucketCountOffsets(size_t at) {
+  return {at + 5, at + 5 + 54 + 8};
+}
+
+// Deserializes `blob` through the copy path and the alias path (8-aligned
+// buffer).
+std::vector<Status> DeserializeBothPaths(const std::string& blob) {
+  std::vector<Status> out;
+  out.push_back(ConditionalCuckooFilter::Deserialize(blob).status());
+  auto words = std::make_shared<std::vector<uint64_t>>((blob.size() + 7) / 8);
+  std::memcpy(words->data(), blob.data(), blob.size());
+  AliasMapping alias{std::shared_ptr<const void>(words, words->data())};
+  std::string_view view(reinterpret_cast<const char*>(words->data()),
+                        blob.size());
+  out.push_back(ConditionalCuckooFilter::Deserialize(view, alias).status());
+  return out;
+}
+
+void ExpectHostileGeometryRejected(const std::string& blob,
+                                   const char* what) {
+  // The unpatched blob loads on both paths.
+  for (const Status& st : DeserializeBothPaths(blob)) {
+    ASSERT_TRUE(st.ok()) << what << ": " << st.ToString();
+  }
+  const size_t at = CcfBlobOffset(blob, kHostileBuckets);
+  for (size_t offset : BucketCountOffsets(at)) {
+    for (uint64_t buckets : {uint64_t{1} << 40, uint64_t{1} << 50}) {
+      std::string patched = blob;
+      std::memcpy(patched.data() + offset, &buckets, 8);
+      for (const Status& st : DeserializeBothPaths(patched)) {
+        EXPECT_FALSE(st.ok())
+            << what << ": num_buckets 2^" << std::countr_zero(buckets)
+            << " at offset " << offset;
+      }
+    }
+  }
+}
+
+std::vector<uint64_t> HostileRow(uint64_t i) {
+  return {i % 97, 1900 + i % 100};
+}
+
+TEST(HostileGeometryTest, ChainedBlobRejected) {
+  auto ccf = ConditionalCuckooFilter::Make(CcfVariant::kChained,
+                                           HostileConfig())
+                 .ValueOrDie();
+  for (uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(ccf->Insert(i % 200, HostileRow(i)).ok());
+  }
+  ExpectHostileGeometryRejected(ccf->Serialize(), "chained");
+}
+
+TEST(HostileGeometryTest, ShardedBlobRejected) {
+  CcfConfig config = HostileConfig();
+  config.num_buckets = 2 * kHostileBuckets;  // 2 shards of 1024
+  ShardedCcfOptions opts;
+  opts.num_shards = 2;
+  auto sharded =
+      ShardedCcf::Make(CcfVariant::kChained, config, opts).ValueOrDie();
+  for (uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(sharded->Insert(i % 200, HostileRow(i)).ok());
+  }
+  ExpectHostileGeometryRejected(sharded->Serialize(), "sharded");
+}
+
+TEST(HostileGeometryTest, RangeBlobRejected) {
+  auto range = RangeCcf::Make(CcfVariant::kChained, HostileConfig(),
+                              /*range_attr_index=*/1, /*max_level=*/4)
+                   .ValueOrDie();
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(range->Insert(i % 100, HostileRow(i)).ok());
+  }
+  ExpectHostileGeometryRejected(range->Serialize(), "range");
+}
 
 }  // namespace
 }  // namespace ccf
