@@ -23,15 +23,8 @@ int SketchHashes(const CcfConfig& config) {
 BloomCcf::BloomCcf(CcfConfig config, BucketTable table)
     : CcfBase(config, std::move(table)), sketch_hashes_(SketchHashes(config)) {}
 
-Result<std::unique_ptr<ConditionalCuckooFilter>> BloomCcf::Make(
-    const CcfConfig& config) {
-  if (config.bloom_bits < 1) {
-    return Status::Invalid("bloom_bits must be >= 1");
-  }
-  CCF_ASSIGN_OR_RETURN(
-      BucketTable table,
-      BucketTable::Make(config.num_buckets, config.slots_per_bucket,
-                        config.key_fp_bits, config.bloom_bits));
+std::unique_ptr<ConditionalCuckooFilter> BloomCcf::Make(
+    const CcfConfig& config, BucketTable table) {
   return std::unique_ptr<ConditionalCuckooFilter>(
       new BloomCcf(config, std::move(table)));
 }

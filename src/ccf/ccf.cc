@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <optional>
 
 #include "ccf/bloom_ccf.h"
 #include "ccf/ccf_base.h"
@@ -11,6 +12,7 @@
 #include "ccf/plain_ccf.h"
 #include "ccf/range_ccf.h"
 #include "ccf/sharded_ccf.h"
+#include "util/math_util.h"
 
 namespace ccf {
 
@@ -94,8 +96,9 @@ bool ConditionalCuckooFilter::ContainsRow(
   return Contains(key, pred);
 }
 
-Result<std::unique_ptr<ConditionalCuckooFilter>> ConditionalCuckooFilter::Make(
-    CcfVariant variant, const CcfConfig& config) {
+namespace {
+
+Status ValidateConfig(CcfVariant variant, const CcfConfig& config) {
   if (config.num_attrs < 1 || config.num_attrs > 64) {
     return Status::Invalid("num_attrs must be in [1, 64]");
   }
@@ -108,17 +111,58 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> ConditionalCuckooFilter::Make(
   if (config.max_chain < 0) {
     return Status::Invalid("max_chain must be >= 0 (0 = unbounded)");
   }
+  if (variant == CcfVariant::kBloom && config.bloom_bits < 1) {
+    return Status::Invalid("bloom_bits must be >= 1");
+  }
+  return Status::OK();
+}
+
+// Payload bits per slot of each variant's table (config validated): the
+// attribute fingerprint vector (Plain, Chained), the Bloom sketch (Bloom),
+// or Mixed's converted flag + sequence number + vector.
+int PayloadBits(CcfVariant variant, const CcfConfig& config) {
+  const int vector_bits = config.num_attrs * config.attr_fp_bits;
   switch (variant) {
     case CcfVariant::kPlain:
-      return PlainCcf::Make(config);
     case CcfVariant::kChained:
-      return ChainedCcf::Make(config);
+      return vector_bits;
     case CcfVariant::kBloom:
-      return BloomCcf::Make(config);
+      return config.bloom_bits;
     case CcfVariant::kMixed:
-      return MixedCcf::Make(config);
+      return 1 + CeilLog2(static_cast<uint64_t>(config.max_dupes)) +
+             vector_bits;
   }
-  return Status::Invalid("unknown CCF variant");
+  return vector_bits;
+}
+
+std::unique_ptr<ConditionalCuckooFilter> MakeAroundTable(
+    CcfVariant variant, const CcfConfig& config, BucketTable table) {
+  switch (variant) {
+    case CcfVariant::kPlain:
+      return PlainCcf::Make(config, std::move(table));
+    case CcfVariant::kChained:
+      return ChainedCcf::Make(config, std::move(table));
+    case CcfVariant::kBloom:
+      return BloomCcf::Make(config, std::move(table));
+    case CcfVariant::kMixed:
+      return MixedCcf::Make(config, std::move(table));
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<ConditionalCuckooFilter>> ConditionalCuckooFilter::Make(
+    CcfVariant variant, const CcfConfig& config) {
+  CCF_RETURN_NOT_OK(ValidateConfig(variant, config));
+  if (static_cast<uint8_t>(variant) > 3) {
+    return Status::Invalid("unknown CCF variant");
+  }
+  CCF_ASSIGN_OR_RETURN(
+      BucketTable table,
+      BucketTable::Make(config.num_buckets, config.slots_per_bucket,
+                        config.key_fp_bits, PayloadBits(variant, config)));
+  return MakeAroundTable(variant, config, std::move(table));
 }
 
 // --- Serialization -----------------------------------------------------------
@@ -186,21 +230,6 @@ std::string CcfBase::Serialize() const {
   return out;
 }
 
-Status CcfBase::LoadState(ByteReader* reader, const AliasMapping* alias) {
-  CCF_ASSIGN_OR_RETURN(num_rows_, reader->ReadU64());
-  CCF_ASSIGN_OR_RETURN(BucketTable loaded, BucketTable::Load(reader, alias));
-  if (loaded.num_buckets() != table_->num_buckets() ||
-      loaded.slots_per_bucket() != table_->slots_per_bucket() ||
-      loaded.fingerprint_bits() != table_->fingerprint_bits() ||
-      loaded.payload_bits() != table_->payload_bits()) {
-    return Status::Invalid("serialized CCF table geometry mismatch");
-  }
-  // Fresh snapshot, not in-place assignment: outstanding snapshot holders
-  // keep the pre-load table.
-  table_ = std::make_shared<BucketTable>(std::move(loaded));
-  return LoadExtras(reader);
-}
-
 Result<std::unique_ptr<ConditionalCuckooFilter>> DeserializeCcfImpl(
     std::string_view data, const AliasMapping* alias) {
   ByteReader reader(data);
@@ -218,9 +247,9 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> DeserializeCcfImpl(
   CcfVariant variant = static_cast<CcfVariant>(variant_tag);
   CcfConfig config;
   CCF_RETURN_NOT_OK(ReadConfig(&reader, &config));
-  // Make allocates the header's geometry before LoadState reads a byte of
-  // it: bound the table by the blob first. Key fingerprint plus attribute
-  // vector (Bloom: sketch) is a lower bound on every variant's slot width.
+  // Bound the header's table geometry by the blob before anything is
+  // allocated. Key fingerprint plus attribute vector (Bloom: sketch) is a
+  // lower bound on every variant's slot width.
   const int64_t payload_bits =
       variant == CcfVariant::kBloom
           ? int64_t{config.bloom_bits}
@@ -229,10 +258,26 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> DeserializeCcfImpl(
       config.num_buckets, config.slots_per_bucket,
       int64_t{config.key_fp_bits} + std::max<int64_t>(payload_bits, 0),
       reader.remaining()));
-  CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> ccf,
-                       ConditionalCuckooFilter::Make(variant, config));
+  CCF_RETURN_NOT_OK(ValidateConfig(variant, config));
+  const int payload = PayloadBits(variant, config);
+  CCF_RETURN_NOT_OK(BucketTable::CheckGeometry(config.num_buckets,
+                                               config.slots_per_bucket,
+                                               config.key_fp_bits, payload));
+  CCF_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
+  // The filter is built around the loaded table: the only table this load
+  // allocates (none at all on the alias path).
+  CCF_ASSIGN_OR_RETURN(BucketTable table, BucketTable::Load(&reader, alias));
+  if (table.num_buckets() != NextPowerOfTwo(config.num_buckets) ||
+      table.slots_per_bucket() != config.slots_per_bucket ||
+      table.fingerprint_bits() != config.key_fp_bits ||
+      table.payload_bits() != payload) {
+    return Status::Invalid("serialized CCF table geometry mismatch");
+  }
+  std::unique_ptr<ConditionalCuckooFilter> ccf =
+      MakeAroundTable(variant, config, std::move(table));
   auto* base = static_cast<CcfBase*>(ccf.get());
-  CCF_RETURN_NOT_OK(base->LoadState(&reader, alias));
+  base->num_rows_ = num_rows;
+  CCF_RETURN_NOT_OK(base->LoadExtras(&reader));
   return ccf;
 }
 
@@ -280,8 +325,9 @@ void ChainWalk::Restart(uint64_t start_bucket, uint32_t fp) {
   fp_ = fp;
   pair_ = MakePair(start_bucket);
   hops_ = 0;
-  visited_.clear();
-  visited_.push_back(pair_.Canonical(bucket_mask_ + 1));
+  num_visited_ = 0;
+  visited_spill_.clear();
+  MarkVisited(pair_.Canonical(bucket_mask_ + 1));
 }
 
 BucketPair ChainWalk::MakePair(uint64_t bucket) const {
@@ -291,10 +337,23 @@ BucketPair ChainWalk::MakePair(uint64_t bucket) const {
 }
 
 bool ChainWalk::Visited(uint64_t canonical) const {
-  for (uint64_t v : visited_) {
+  const int inline_count = std::min(num_visited_, kHardChainCap);
+  for (int i = 0; i < inline_count; ++i) {
+    if (visited_[i] == canonical) return true;
+  }
+  for (uint64_t v : visited_spill_) {
     if (v == canonical) return true;
   }
   return false;
+}
+
+void ChainWalk::MarkVisited(uint64_t canonical) {
+  if (num_visited_ < kHardChainCap) {
+    visited_[num_visited_] = canonical;
+  } else {
+    visited_spill_.push_back(canonical);
+  }
+  ++num_visited_;
 }
 
 void ChainWalk::Advance() {
@@ -305,7 +364,7 @@ void ChainWalk::Advance() {
     uint64_t canonical = candidate.Canonical(bucket_mask_ + 1);
     if (!Visited(canonical) || round >= kMaxCycleRounds) {
       pair_ = candidate;
-      visited_.push_back(canonical);
+      MarkVisited(canonical);
       ++hops_;
       return;
     }
@@ -349,9 +408,19 @@ void CcfBase::ContainsKeyBatch(std::span<const uint64_t> keys,
                                std::span<bool> out) const {
   CCF_DCHECK(out.size() == keys.size());
   // Key-only membership is "any occupied copy in the pair" for every
-  // variant (§7.1), so the same resolver serves all of them.
+  // variant (§7.1), so the same resolver serves all of them. The pipeline
+  // has prefetched both buckets, so both masks are tested at once instead
+  // of branching on a primary hit as ContainsKeyAddressed does (a
+  // degenerate pair just tests its bucket twice).
+  const BucketTable& table = *table_;
   BatchResolve(keys, out, [&](size_t, const BucketPair& pair, uint32_t fp) {
-    return ContainsKeyInPair(pair, fp);
+    uint64_t primary = table.MatchMask(pair.primary, fp);
+    uint64_t alt = table.MatchMask(pair.alt, fp);
+    if (fp == 0) {  // unoccupied slots read fingerprint 0
+      primary &= table.OccupiedMask(pair.primary);
+      alt &= table.OccupiedMask(pair.alt);
+    }
+    return (primary | alt) != 0;
   });
 }
 
@@ -384,7 +453,11 @@ Status CcfBase::InsertBatch(std::span<const uint64_t> keys,
                             std::span<const uint64_t> attrs,
                             std::vector<uint64_t>* hash_memo) {
   return InsertBatchWith(
-      keys, attrs, hash_memo, [] {},
+      keys, attrs, hash_memo,
+      [this](const BucketPair& pair, uint32_t fp,
+             std::span<const uint64_t> row, uint64_t payload) {
+        return TryInsertNoKick(pair, fp, row, payload);
+      },
       [this](const BucketPair& pair, uint32_t fp,
              std::span<const uint64_t> row, uint64_t /*payload*/) {
         return InsertAddressed(pair, fp, row);
@@ -477,7 +550,10 @@ bool MarkedKeyFilter::Contains(uint64_t key) const {
   cuckoo_addressing::IndexAndFingerprint(hasher_, key, table_->bucket_mask(),
                                          table_->fingerprint_bits(), &bucket,
                                          &fp);
-  return ContainsAddressed(bucket, fp);
+  return ContainsAddressed(
+      BucketPair{bucket, cuckoo_addressing::AltBucket(hasher_, bucket, fp,
+                                                      table_->bucket_mask())},
+      fp);
 }
 
 void MarkedKeyFilter::ContainsBatch(std::span<const uint64_t> keys,
@@ -485,8 +561,7 @@ void MarkedKeyFilter::ContainsBatch(std::span<const uint64_t> keys,
   CCF_DCHECK(out.size() == keys.size());
   struct Addr {
     uint64_t cluster_key;
-    uint64_t bucket;
-    uint64_t alt;
+    BucketPair pair;
     uint32_t fp;
   };
   BatchPipelineOptions options;
@@ -498,25 +573,29 @@ void MarkedKeyFilter::ContainsBatch(std::span<const uint64_t> keys,
         cuckoo_addressing::IndexAndFingerprint(hasher_, keys[i],
                                                table_->bucket_mask(),
                                                table_->fingerprint_bits(),
-                                               &a.bucket, &a.fp);
-        a.alt = cuckoo_addressing::AltBucket(hasher_, a.bucket, a.fp,
-                                             table_->bucket_mask());
-        a.cluster_key = a.bucket;
+                                               &a.pair.primary, &a.fp);
+        a.pair.alt = cuckoo_addressing::AltBucket(
+            hasher_, a.pair.primary, a.fp, table_->bucket_mask());
+        a.cluster_key = a.pair.primary;
         return a;
       },
       [&](const Addr& a) {
-        table_->PrefetchBucket(a.bucket);
-        if (a.alt != a.bucket) table_->PrefetchBucket(a.alt);
+        table_->PrefetchBucket(a.pair.primary);
+        if (!a.pair.degenerate()) table_->PrefetchBucket(a.pair.alt);
       },
       [&](size_t i, const Addr& a) {
-        out[i] = ContainsAddressed(a.bucket, a.fp);
+        out[i] = ContainsAddressed(a.pair, a.fp);
       });
 }
 
-bool MarkedKeyFilter::ContainsAddressed(uint64_t bucket, uint32_t fp) const {
-  ChainWalk walk(&hasher_, table_->bucket_mask(), bucket, fp);
+bool MarkedKeyFilter::ContainsAddressed(const BucketPair& first_pair,
+                                        uint32_t fp) const {
+  // The ChainWalk is only materialized once the first pair is saturated,
+  // as in ChainedCcf::WalkContains.
+  std::optional<ChainWalk> walk;
+  BucketPair pair = first_pair;
   for (int hop = 0; hop < chain_cap_; ++hop) {
-    const BucketPair& pair = walk.pair();
+    if (hop > 0) pair = walk->pair();
     int count = 0;
     bool unmarked = false;
     auto scan = [&](uint64_t b) {
@@ -531,11 +610,13 @@ bool MarkedKeyFilter::ContainsAddressed(uint64_t bucket, uint32_t fp) const {
     scan(pair.primary);
     if (!pair.degenerate()) scan(pair.alt);
     if (unmarked) return true;
-    if (chain_on_full_pair_ && count == max_dupes_) {
-      walk.Advance();
-      continue;
+    if (!chain_on_full_pair_ || count != max_dupes_) return false;
+    if (hop + 1 < chain_cap_) {
+      if (!walk) {
+        walk.emplace(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
+      }
+      walk->Advance();
     }
-    return false;
   }
   // Chain cap exhausted with every pair full of (marked) copies: the source
   // CCF would answer true here too (Algorithm 5's terminal case).

@@ -64,13 +64,21 @@ class ChainWalk {
 
   BucketPair MakePair(uint64_t bucket) const;
   bool Visited(uint64_t canonical) const;
+  void MarkVisited(uint64_t canonical);
 
   const Hasher* hasher_;
   uint64_t bucket_mask_;
   uint32_t fp_;
   BucketPair pair_;
   int hops_ = 0;
-  std::vector<uint64_t> visited_;
+  // Canonical ids of the pairs walked so far (one per hop). A walk under
+  // the default cap never holds more than kHardChainCap of them, so walks
+  // keep them inline and never allocate; only a configured max_chain above
+  // kHardChainCap spills the rest to the heap. Entries at and past
+  // num_visited_ are unset (never read).
+  int num_visited_ = 0;
+  uint64_t visited_[kHardChainCap];
+  std::vector<uint64_t> visited_spill_;
 };
 
 /// \brief Common state + helpers for CCF implementations.
@@ -124,15 +132,12 @@ class CcfBase : public ConditionalCuckooFilter {
                                  const Predicate& pred) const = 0;
 
   /// ContainsKey for a pre-hashed key (§7.1: identical for every variant —
-  /// the first bucket pair always holds a copy of a present key).
-  bool ContainsKeyAddressed(uint64_t bucket, uint32_t fp) const {
-    return ContainsKeyInPair(PairOf(bucket, fp), fp);
-  }
-
-  /// CountFpInPair(pair, fp) > 0, stopping at the first occupied copy so a
+  /// the first bucket pair always holds a copy of a present key):
+  /// CountFpInPair > 0, stopping at the first occupied copy so a
   /// primary-bucket hit never reads the alt bucket.
-  bool ContainsKeyInPair(const BucketPair& pair, uint32_t fp) const {
-    return ScanPairWithFp(pair, fp, [](uint64_t, int) { return true; })
+  bool ContainsKeyAddressed(uint64_t bucket, uint32_t fp) const {
+    return ScanPairWithFp(PairOf(bucket, fp), fp,
+                          [](uint64_t, int) { return true; })
         .second;
   }
 
@@ -254,21 +259,28 @@ class CcfBase : public ConditionalCuckooFilter {
   }
 
   /// The body of every CcfBase-derived InsertBatch: validation, the memo
-  /// handshake and the two-wave pipeline, with the wave-2 step supplied by
-  /// the caller. `wave2(pair, fp, attrs, payload)` completes one deferred
-  /// row (`payload` is its PackRowPayload word, possibly from the memo) and
-  /// returns its Status; `on_wave1()` runs before every wave-1 row.
+  /// handshake and the two-wave pipeline, with both waves' steps supplied
+  /// by the caller. `wave1(pair, fp, attrs, payload)` attempts one row
+  /// with TryInsertNoKick's contract (true = settled, false = defer);
+  /// `wave2(pair, fp, attrs, payload)` completes one deferred row and
+  /// returns its Status. `payload` is the row's PackRowPayload word,
+  /// possibly from the memo.
   ///
   /// Wave-2 state may outlive one deferred row (ChainedCcf keeps a chain
   /// cursor in its frame) because the pipeline runs a block's whole wave 1
   /// before its wave 2 and nothing between two wave-2 rows of a block: the
   /// only table writes a wave-2 row can meet since the previous wave-2 row
   /// are that row's own placement and kicks, or — across a block boundary
-  /// — the next block's wave 1, which `on_wave1` announces.
-  template <typename OnWave1, typename Wave2>
+  /// — the next block's wave 1, which runs through `wave1`.
+  ///
+  /// The address pass hashes a key once per run of equal consecutive keys
+  /// (a range build's η label rows): it runs in input order and the
+  /// address is a pure function of the key, so the run's first address
+  /// serves the rest.
+  template <typename Wave1, typename Wave2>
   Status InsertBatchWith(std::span<const uint64_t> keys,
                          std::span<const uint64_t> attrs,
-                         std::vector<uint64_t>* hash_memo, OnWave1&& on_wave1,
+                         std::vector<uint64_t>* hash_memo, Wave1&& wave1,
                          Wave2&& wave2);
 
   /// The payload word wave 1 would store for this row — the packed
@@ -335,10 +347,9 @@ class CcfBase : public ConditionalCuckooFilter {
     return Status::OK();
   }
 
-  /// Restores table + counters from a reader (after config was applied via
-  /// Make). Used by ConditionalCuckooFilter::Deserialize. With `alias`
-  /// non-null the loaded table aliases the reader's buffer (zero-copy).
-  Status LoadState(ByteReader* reader, const AliasMapping* alias = nullptr);
+  /// ConditionalCuckooFilter::Deserialize's body: builds the filter around
+  /// the loaded table and restores its counters. With `alias` non-null the
+  /// table aliases the reader's buffer (zero-copy).
   friend Result<std::unique_ptr<ConditionalCuckooFilter>>
   DeserializeCcfImpl(std::string_view data, const AliasMapping* alias);
 
@@ -552,11 +563,11 @@ bool CcfBase::PlaceWithKicks(const BucketPair& pair, uint32_t fp,
   return true;
 }
 
-template <typename OnWave1, typename Wave2>
+template <typename Wave1, typename Wave2>
 Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
                                 std::span<const uint64_t> attrs,
                                 std::vector<uint64_t>* hash_memo,
-                                OnWave1&& on_wave1, Wave2&& wave2) {
+                                Wave1&& wave1, Wave2&& wave2) {
   const size_t num_attrs = static_cast<size_t>(config_.num_attrs);
   if (attrs.size() != keys.size() * num_attrs) {
     return Status::Invalid(
@@ -583,6 +594,11 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
   options.cluster_bits = std::bit_width(table.bucket_mask());
   options.block_size = kInsertBatchBlock;
   Status first_error = Status::OK();
+  // The previous row's key hash and address: the run cache of the address
+  // pass (valid once i > 0).
+  uint64_t run_hash = 0;
+  BucketPair run_pair{};
+  uint32_t run_fp = 0;
   RunBatchPipelineTwoWave<Addr>(
       keys.size(), options,
       [&](size_t i) {
@@ -598,17 +614,23 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
           h = (*hash_memo)[2 * i];
           payload = (*hash_memo)[2 * i + 1];
         } else {
-          h = hasher_.Hash(keys[i], 0);
+          const bool same_key = i > 0 && keys[i] == keys[i - 1];
+          h = same_key ? run_hash : hasher_.Hash(keys[i], 0);
           payload = PackRowPayload(attrs.subspan(i * num_attrs, num_attrs));
         }
         if (fill_memo) {
           (*hash_memo)[2 * i] = h;
           (*hash_memo)[2 * i + 1] = payload;
         }
-        uint64_t bucket;
-        cuckoo_addressing::IndexAndFingerprintFromHash(
-            h, table.bucket_mask(), config_.key_fp_bits, &bucket, &a.fp);
-        a.pair = PairOf(bucket, a.fp);
+        if (i == 0 || h != run_hash) {
+          uint64_t bucket;
+          cuckoo_addressing::IndexAndFingerprintFromHash(
+              h, table.bucket_mask(), config_.key_fp_bits, &bucket, &run_fp);
+          run_pair = PairOf(bucket, run_fp);
+          run_hash = h;
+        }
+        a.pair = run_pair;
+        a.fp = run_fp;
         a.payload = payload;
         a.cluster_key = a.pair.primary;
         return a;
@@ -621,10 +643,8 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
       },
       [&](size_t i, Addr& a) {
         if (!first_error.ok()) return true;  // drain the batch cheaply
-        on_wave1();
-        return TryInsertNoKick(a.pair, a.fp,
-                               attrs.subspan(i * num_attrs, num_attrs),
-                               a.payload);
+        return wave1(a.pair, a.fp, attrs.subspan(i * num_attrs, num_attrs),
+                     a.payload);
       },
       [&](const Addr& a) {
         // Deferred rows re-touch their pair after the rest of the block's
@@ -671,7 +691,7 @@ class MarkedKeyFilter : public KeyFilter {
   }
 
  private:
-  bool ContainsAddressed(uint64_t bucket, uint32_t fp) const;
+  bool ContainsAddressed(const BucketPair& first_pair, uint32_t fp) const;
 
   std::shared_ptr<const BucketTable> table_;
   BitVector marks_;

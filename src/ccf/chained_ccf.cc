@@ -12,13 +12,8 @@ ChainedCcf::ChainedCcf(CcfConfig config, BucketTable table)
       codec_(&hasher_, config.num_attrs, config.attr_fp_bits,
              config.small_value_opt) {}
 
-Result<std::unique_ptr<ConditionalCuckooFilter>> ChainedCcf::Make(
-    const CcfConfig& config) {
-  CCF_ASSIGN_OR_RETURN(
-      BucketTable table,
-      BucketTable::Make(config.num_buckets, config.slots_per_bucket,
-                        config.key_fp_bits,
-                        config.num_attrs * config.attr_fp_bits));
+std::unique_ptr<ConditionalCuckooFilter> ChainedCcf::Make(
+    const CcfConfig& config, BucketTable table) {
   return std::unique_ptr<ConditionalCuckooFilter>(
       new ChainedCcf(config, std::move(table)));
 }
@@ -46,8 +41,37 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
   // One cursor per call, never member state: it is only sound while no
   // writer but this batch's wave 2 touches the table.
   ChainCursor cursor;
+  // The (first-pair primary, fp) of the last row wave 1 found saturated
+  // (>= max_dupes copies of fp), also per call. Copies of fp in a pair
+  // never decrease during a batch — wave 1 only fills free slots, and a
+  // kick moves an entry to the other bucket of its own pair — so a later
+  // row with this address skips the first-pair scan and goes straight to
+  // wave 2. The scan's only other outcome for it, collapsing into an
+  // identical entry, writes nothing, and wave 2's hop-0 duplicate check
+  // reaches the same collapse.
+  bool have_saturated = false;
+  uint64_t saturated_primary = 0;
+  uint32_t saturated_fp = 0;
   return InsertBatchWith(
-      keys, attrs, hash_memo, [&] { cursor.Reset(); },
+      keys, attrs, hash_memo,
+      [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
+          uint64_t payload) {
+        cursor.Reset();
+        if (have_saturated && pair.primary == saturated_primary &&
+            fp == saturated_fp) {
+          return false;
+        }
+        bool saturated = false;
+        if (TryInsertFirstPair(pair, fp, row, payload, &saturated)) {
+          return true;
+        }
+        if (saturated) {
+          have_saturated = true;
+          saturated_primary = pair.primary;
+          saturated_fp = fp;
+        }
+        return false;
+      },
       [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
           uint64_t payload) {
         return InsertThroughCursor(pair, fp, row, payload, &cursor);
@@ -178,13 +202,24 @@ uint64_t ChainedCcf::PackRowPayload(std::span<const uint64_t> attrs) const {
 bool ChainedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
                                  std::span<const uint64_t> attrs,
                                  uint64_t payload) {
+  bool saturated;
+  return TryInsertFirstPair(pair, fp, attrs, payload, &saturated);
+}
+
+bool ChainedCcf::TryInsertFirstPair(const BucketPair& pair, uint32_t fp,
+                                    std::span<const uint64_t> attrs,
+                                    uint64_t payload, bool* saturated) {
+  *saturated = false;
   if (table_->slot_bits() > 64) {
     // Oversized geometry: per-attribute scan and store (cold fallback).
     auto [count, dup] = ScanPairWithFp(pair, fp, [&](uint64_t b, int s) {
       return codec_.EqualsStored(*table_, b, s, /*base=*/0, attrs);
     });
     if (dup) return true;
-    if (count >= config_.max_dupes) return false;
+    if (count >= config_.max_dupes) {
+      *saturated = true;
+      return false;
+    }
     auto [b, s] = FreeSlotInPair(pair);
     if (s < 0) return false;
     table_->Put(b, s, fp);
@@ -224,7 +259,10 @@ bool ChainedCcf::TryInsertNoKick(const BucketPair& pair, uint32_t fp,
   };
   if (scan(pair.primary)) return true;  // collapsed
   if (!pair.degenerate() && scan(pair.alt)) return true;
-  if (count >= config_.max_dupes) return false;  // chain walk: wave 2
+  if (count >= config_.max_dupes) {  // chain walk: wave 2
+    *saturated = true;
+    return false;
+  }
   if (free_slot < 0) return false;  // displacement needed: wave 2
   table_->PutSlot(free_bucket, free_slot, fp, packed);
   ++num_rows_;

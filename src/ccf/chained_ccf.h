@@ -16,8 +16,11 @@ namespace ccf {
 /// \brief Fingerprint-vector CCF with duplicate-key chaining.
 class ChainedCcf : public CcfBase {
  public:
-  static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
-      const CcfConfig& config);
+  /// Builds the filter around `table`, whose geometry must be the one
+  /// ConditionalCuckooFilter::Make derives from the validated `config`
+  /// (Make allocates it; deserialization loads it).
+  static std::unique_ptr<ConditionalCuckooFilter> Make(const CcfConfig& config,
+                                                       BucketTable table);
 
   /// Inserts per Algorithm 4. Outcomes:
   ///  * OK — stored, or safely absorbed: when every chain pair up to Lmax is
@@ -32,7 +35,9 @@ class ChainedCcf : public CcfBase {
   /// CcfBase's two-wave bulk build with a chain cursor in wave 2: a run of
   /// consecutive deferred rows with the same (first-pair primary, fp) — the
   /// η label rows of one key in a range build — walks its chain once
-  /// instead of once per row. Bit-identical to per-row InsertAddressed.
+  /// instead of once per row, and wave 1 skips the first-pair scan of a
+  /// row whose first pair it has already found saturated. Bit-identical to
+  /// per-row InsertAddressed.
   Status InsertBatch(std::span<const uint64_t> keys,
                      std::span<const uint64_t> attrs,
                      std::vector<uint64_t>* hash_memo = nullptr) override;
@@ -93,8 +98,8 @@ class ChainedCcf : public CcfBase {
   /// count and payload multiset change only when a row is placed INTO that
   /// pair — and InsertThroughCursor records every such placement. Any other
   /// writer makes the cursor stale, so it lives in one InsertBatch frame
-  /// (or one scalar Insert) and resets before every wave-1 row (see
-  /// CcfBase::InsertBatchWith) and after a failed placement.
+  /// (or one scalar Insert) and resets before every wave-1 row (InsertBatch's
+  /// wave-1 step) and after a failed placement.
   struct ChainCursor {
     struct Hop {
       BucketPair pair;
@@ -113,6 +118,13 @@ class ChainedCcf : public CcfBase {
     void Reset() { hops.clear(); }
   };
 
+  /// TryInsertNoKick, also reporting why a row was deferred: *saturated is
+  /// true when the pair holds >= max_dupes copies of fp (the row needs the
+  /// chain walk), false when it merely lacks a free slot.
+  bool TryInsertFirstPair(const BucketPair& pair, uint32_t fp,
+                          std::span<const uint64_t> attrs, uint64_t payload,
+                          bool* saturated);
+
   /// Algorithm 4 through `cursor`: the one chained insertion loop, behind
   /// both wave 2 of InsertBatch and the scalar InsertAddressed. `payload`
   /// is PackRowPayload(attrs) (ignored when slot_bits() > 64, where
@@ -128,26 +140,33 @@ class ChainedCcf : public CcfBase {
 
   /// Algorithm 5's walk with a pluggable entry matcher (raw predicate or
   /// precompiled fingerprints), starting from the key's already-computed
-  /// first pair. The ChainWalk is only materialized once the first pair is
-  /// saturated, keeping the common case allocation-free.
+  /// first pair. The first pair is resolved here; only a saturated one
+  /// continues in WalkChainFrom, out of line, so batched probes that
+  /// inline this keep the ChainWalk (and its inline visited buffer) out of
+  /// their loop.
   template <typename EntryMatcher>
-  bool WalkContains(BucketPair first_pair, uint32_t fp,
+  bool WalkContains(const BucketPair& first_pair, uint32_t fp,
                     EntryMatcher&& matches) const {
-    std::optional<ChainWalk> walk;
-    BucketPair pair = first_pair;
-    for (int hop = 0; hop < ChainCap(); ++hop) {
-      if (hop > 0) pair = walk->pair();
-      auto [count, matched] = ScanPairWithFp(pair, fp, matches);
+    auto [count, matched] = ScanPairWithFp(first_pair, fp, matches);
+    if (matched) return true;
+    if (count != config_.max_dupes) return false;
+    // Exactly d copies: the chain may continue at the next pair.
+    return WalkChainFrom(first_pair, fp, matches);
+  }
+
+  /// The rest of WalkContains' walk: hops 1.. of a chain whose first pair
+  /// is saturated with no match.
+  template <typename EntryMatcher>
+  [[gnu::noinline]] bool WalkChainFrom(const BucketPair& first_pair,
+                                       uint32_t fp,
+                                       EntryMatcher& matches) const {
+    if (ChainCap() <= 1) return true;  // Algorithm 5's terminal case
+    ChainWalk walk(&hasher_, table_->bucket_mask(), first_pair.primary, fp);
+    for (int hop = 1; hop < ChainCap(); ++hop) {
+      walk.Advance();
+      auto [count, matched] = ScanPairWithFp(walk.pair(), fp, matches);
       if (matched) return true;
       if (count != config_.max_dupes) return false;
-      if (hop + 1 < ChainCap()) {
-        // Exactly d copies: the chain may continue at the next pair.
-        if (!walk) {
-          walk.emplace(&hasher_, table_->bucket_mask(), first_pair.primary,
-                       fp);
-        }
-        walk->Advance();
-      }
     }
     // Lmax pairs checked, all holding d copies: true regardless of
     // predicate (Algorithm 5's terminal case).

@@ -34,15 +34,8 @@ MixedCcf::MixedCcf(CcfConfig config, BucketTable table)
       vec_bits_(config.num_attrs * config.attr_fp_bits),
       conversion_hashes_(ConversionHashes(config)) {}
 
-Result<std::unique_ptr<ConditionalCuckooFilter>> MixedCcf::Make(
-    const CcfConfig& config) {
-  int seq_bits = CeilLog2(static_cast<uint64_t>(config.max_dupes));
-  CCF_ASSIGN_OR_RETURN(
-      BucketTable table,
-      BucketTable::Make(config.num_buckets, config.slots_per_bucket,
-                        config.key_fp_bits,
-                        1 + seq_bits +
-                            config.num_attrs * config.attr_fp_bits));
+std::unique_ptr<ConditionalCuckooFilter> MixedCcf::Make(
+    const CcfConfig& config, BucketTable table) {
   return std::unique_ptr<ConditionalCuckooFilter>(
       new MixedCcf(config, std::move(table)));
 }

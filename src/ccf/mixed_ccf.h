@@ -30,8 +30,11 @@ namespace ccf {
 /// duplicates.
 class MixedCcf : public CcfBase {
  public:
-  static Result<std::unique_ptr<ConditionalCuckooFilter>> Make(
-      const CcfConfig& config);
+  /// Builds the filter around `table`, whose geometry must be the one
+  /// ConditionalCuckooFilter::Make derives from the validated `config`
+  /// (Make allocates it; deserialization loads it).
+  static std::unique_ptr<ConditionalCuckooFilter> Make(const CcfConfig& config,
+                                                       BucketTable table);
 
   Status Insert(uint64_t key, std::span<const uint64_t> attrs) override;
   bool ContainsKey(uint64_t key) const override;

@@ -9,13 +9,8 @@ PlainCcf::PlainCcf(CcfConfig config, BucketTable table)
       codec_(&hasher_, config.num_attrs, config.attr_fp_bits,
              config.small_value_opt) {}
 
-Result<std::unique_ptr<ConditionalCuckooFilter>> PlainCcf::Make(
-    const CcfConfig& config) {
-  CCF_ASSIGN_OR_RETURN(
-      BucketTable table,
-      BucketTable::Make(config.num_buckets, config.slots_per_bucket,
-                        config.key_fp_bits,
-                        config.num_attrs * config.attr_fp_bits));
+std::unique_ptr<ConditionalCuckooFilter> PlainCcf::Make(
+    const CcfConfig& config, BucketTable table) {
   return std::unique_ptr<ConditionalCuckooFilter>(
       new PlainCcf(config, std::move(table)));
 }

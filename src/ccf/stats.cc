@@ -13,14 +13,18 @@ std::string CcfStats::ToString() const {
   out += " occupied=" + std::to_string(occupied_entries);
   out += " load=" + std::to_string(load_factor);
   out += " distinct_fp=" + std::to_string(distinct_fingerprints);
+  auto append_histogram = [&out](const auto& histogram) {
+    for (const auto& [k, v] : histogram) {
+      out += ' ';
+      out += std::to_string(k);
+      out += ':';
+      out += std::to_string(v);
+    }
+  };
   out += "\nbucket occupancy:";
-  for (const auto& [k, v] : bucket_occupancy_histogram) {
-    out += " " + std::to_string(k) + ":" + std::to_string(v);
-  }
+  append_histogram(bucket_occupancy_histogram);
   out += "\npair duplication:";
-  for (const auto& [k, v] : pair_duplication_histogram) {
-    out += " " + std::to_string(k) + ":" + std::to_string(v);
-  }
+  append_histogram(pair_duplication_histogram);
   return out;
 }
 

@@ -5,7 +5,7 @@
 namespace ccf {
 
 BucketTable::BucketTable(uint64_t num_buckets, int slots_per_bucket,
-                         int fingerprint_bits, int payload_bits)
+                         int fingerprint_bits, int payload_bits, bool allocate)
     : num_buckets_(num_buckets),
       slots_per_bucket_(slots_per_bucket),
       fingerprint_bits_(fingerprint_bits),
@@ -28,15 +28,26 @@ BucketTable::BucketTable(uint64_t num_buckets, int slots_per_bucket,
           static_cast<size_t>(slots_per_bucket) *
                   static_cast<size_t>(fingerprint_bits + payload_bits) -
               1)),
-      slots_(static_cast<size_t>(num_buckets) *
-             static_cast<size_t>(slots_per_bucket) *
-             static_cast<size_t>(fingerprint_bits + payload_bits)),
-      occupied_(static_cast<size_t>(num_buckets) *
-                static_cast<size_t>(slots_per_bucket)) {}
+      slots_(allocate ? BitVector(static_cast<size_t>(num_buckets) *
+                                  static_cast<size_t>(slots_per_bucket) *
+                                  static_cast<size_t>(fingerprint_bits +
+                                                      payload_bits))
+                      : BitVector()),
+      occupied_(allocate ? BitVector(static_cast<size_t>(num_buckets) *
+                                     static_cast<size_t>(slots_per_bucket))
+                         : BitVector()) {}
 
 Result<BucketTable> BucketTable::Make(uint64_t num_buckets,
                                       int slots_per_bucket,
                                       int fingerprint_bits, int payload_bits) {
+  CCF_RETURN_NOT_OK(CheckGeometry(num_buckets, slots_per_bucket,
+                                  fingerprint_bits, payload_bits));
+  return BucketTable(NextPowerOfTwo(num_buckets), slots_per_bucket,
+                     fingerprint_bits, payload_bits, /*allocate=*/true);
+}
+
+Status BucketTable::CheckGeometry(uint64_t num_buckets, int slots_per_bucket,
+                                  int fingerprint_bits, int payload_bits) {
   if (num_buckets == 0) {
     return Status::Invalid("BucketTable requires at least one bucket");
   }
@@ -49,9 +60,7 @@ Result<BucketTable> BucketTable::Make(uint64_t num_buckets,
   if (payload_bits < 0 || payload_bits > 4096) {
     return Status::Invalid("payload_bits must be in [0, 4096]");
   }
-  uint64_t rounded = NextPowerOfTwo(num_buckets);
-  return BucketTable(rounded, slots_per_bucket, fingerprint_bits,
-                     payload_bits);
+  return Status::OK();
 }
 
 void BucketTable::Erase(uint64_t bucket, int slot) {
@@ -195,14 +204,16 @@ Result<BucketTable> BucketTable::Load(ByteReader* reader,
   CCF_RETURN_NOT_OK(CheckSerializedSize(
       num_buckets, slots, int64_t{fp_bits} + int64_t{payload_bits},
       reader->remaining()));
-  CCF_ASSIGN_OR_RETURN(
-      BucketTable table,
-      BucketTable::Make(num_buckets, static_cast<int>(slots),
-                        static_cast<int>(fp_bits),
-                        static_cast<int>(payload_bits)));
-  if (table.num_buckets_ != num_buckets) {
+  CCF_RETURN_NOT_OK(CheckGeometry(num_buckets, static_cast<int>(slots),
+                                  static_cast<int>(fp_bits),
+                                  static_cast<int>(payload_bits)));
+  if (NextPowerOfTwo(num_buckets) != num_buckets) {
     return Status::Invalid("serialized bucket count not a power of two");
   }
+  // Geometry only: the vectors come straight from the blob below.
+  BucketTable table(num_buckets, static_cast<int>(slots),
+                    static_cast<int>(fp_bits), static_cast<int>(payload_bits),
+                    /*allocate=*/false);
   CCF_ASSIGN_OR_RETURN(table.slots_, BitVector::Load(reader, alias));
   CCF_ASSIGN_OR_RETURN(table.occupied_, BitVector::Load(reader, alias));
   uint64_t expected_slot_bits =

@@ -28,6 +28,11 @@ class BucketTable {
   static Result<BucketTable> Make(uint64_t num_buckets, int slots_per_bucket,
                                   int fingerprint_bits, int payload_bits);
 
+  /// Make's argument checks alone: Invalid where Make would fail, without
+  /// allocating anything.
+  static Status CheckGeometry(uint64_t num_buckets, int slots_per_bucket,
+                              int fingerprint_bits, int payload_bits);
+
   uint64_t num_buckets() const { return num_buckets_; }
   int slots_per_bucket() const { return slots_per_bucket_; }
   int fingerprint_bits() const { return fingerprint_bits_; }
@@ -236,8 +241,10 @@ class BucketTable {
                                   const AliasMapping* alias = nullptr);
 
  private:
+  /// `allocate` false leaves the slot and occupancy vectors empty for Load
+  /// to fill, so a load never holds a zeroed table beside the loaded one.
   BucketTable(uint64_t num_buckets, int slots_per_bucket, int fingerprint_bits,
-              int payload_bits);
+              int payload_bits, bool allocate);
 
   uint64_t SlotIndex(uint64_t bucket, int slot) const {
     CCF_DCHECK(bucket < num_buckets_);

@@ -20,7 +20,9 @@ std::vector<const QueryPredicate*> JoinQuery::PredicatesOn(
 }
 
 std::string JoinQuery::ToString() const {
-  std::string out = "Q" + std::to_string(id) + " [";
+  std::string out = "Q";
+  out += std::to_string(id);
+  out += " [";
   for (size_t i = 0; i < tables.size(); ++i) {
     if (i > 0) out += ", ";
     out += tables[i];
@@ -29,10 +31,13 @@ std::string JoinQuery::ToString() const {
   for (const QueryPredicate& p : predicates) {
     out += " " + p.table + "." + p.column;
     if (p.is_range) {
-      out += " BETWEEN " + std::to_string(p.lo) + " AND " +
-             std::to_string(p.hi);
+      out += " BETWEEN ";
+      out += std::to_string(p.lo);
+      out += " AND ";
+      out += std::to_string(p.hi);
     } else {
-      out += "=" + std::to_string(p.value);
+      out += "=";
+      out += std::to_string(p.value);
     }
   }
   return out;

@@ -6,7 +6,8 @@ namespace ccf {
 
 namespace {
 
-inline uint32_t Rot(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+using lookup3_internal::Final;
+using lookup3_internal::Rot;
 
 // lookup3's mix(): reversible mixing of three 32-bit states.
 inline void Mix(uint32_t& a, uint32_t& b, uint32_t& c) {
@@ -16,17 +17,6 @@ inline void Mix(uint32_t& a, uint32_t& b, uint32_t& c) {
   a -= c; a ^= Rot(c, 16); c += b;
   b -= a; b ^= Rot(a, 19); a += c;
   c -= b; c ^= Rot(b, 4);  b += a;
-}
-
-// lookup3's final(): irreversibly finalizes the three states into c.
-inline void Final(uint32_t& a, uint32_t& b, uint32_t& c) {
-  c ^= b; c -= Rot(b, 14);
-  a ^= c; a -= Rot(c, 11);
-  b ^= a; b -= Rot(a, 25);
-  c ^= b; c -= Rot(b, 16);
-  a ^= c; a -= Rot(c, 4);
-  b ^= a; b -= Rot(a, 14);
-  c ^= b; c -= Rot(b, 24);
 }
 
 // Portable byte-at-a-time tail handling (matches hashlittle's semantics on
@@ -88,14 +78,6 @@ uint32_t Lookup3Hash32(const void* key, size_t length, uint32_t initval) {
 
 void Lookup3Hash2(const void* key, size_t length, uint32_t* pc, uint32_t* pb) {
   HashLittle2Impl(static_cast<const uint8_t*>(key), length, pc, pb);
-}
-
-uint64_t Lookup3Hash64(uint64_t key, uint64_t seed) {
-  uint32_t pc = static_cast<uint32_t>(seed);
-  uint32_t pb = static_cast<uint32_t>(seed >> 32);
-  HashLittle2Impl(reinterpret_cast<const uint8_t*>(&key), sizeof(key), &pc,
-                  &pb);
-  return (static_cast<uint64_t>(pb) << 32) | pc;
 }
 
 }  // namespace ccf

@@ -43,9 +43,11 @@ std::string Predicate::ToString() const {
   for (size_t t = 0; t < terms_.size(); ++t) {
     if (t > 0) out += " AND ";
     const AttributeTerm& term = terms_[t];
-    out += "a" + std::to_string(term.attr_index);
+    out += "a";
+    out += std::to_string(term.attr_index);
     if (term.values.size() == 1) {
-      out += "=" + std::to_string(term.values[0]);
+      out += "=";
+      out += std::to_string(term.values[0]);
     } else {
       out += " IN (";
       for (size_t i = 0; i < term.values.size(); ++i) {

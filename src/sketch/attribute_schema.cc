@@ -6,7 +6,9 @@ AttributeSchema AttributeSchema::Anonymous(int n) {
   std::vector<std::string> names;
   names.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    names.push_back("a" + std::to_string(i));
+    std::string name = "a";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
   }
   return AttributeSchema(std::move(names));
 }

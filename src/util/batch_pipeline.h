@@ -8,13 +8,16 @@
 //
 // Per block of kBatchPipelineBlock items:
 //   1. address pass  — compute each item's probe address (hashing);
-//   2. radix cluster — counting-sort the block's indices by the high bits
-//      of each address's cluster key, so resolution visits the table in
-//      ascending address ranges. Per-shard delegation already demonstrated
-//      this locality win (sharded-batched ≈ 2× scalar vs ≈ 1.2× flat);
-//      clustering gives the flat batch the same dTLB/page-locality benefit
-//      without sharding. Results are written to out[original index], so
-//      output is bit-identical to the unclustered order (tested);
+//   2. radix cluster (optional, BatchPipelineOptions::radix_cluster) —
+//      counting-sort the block's indices by the high bits of each
+//      address's cluster key, so resolution visits the table in ascending
+//      address ranges. Results are written to out[original index], so
+//      output is bit-identical to the unclustered order (tested). The
+//      insert paths and the CuckooFilter / BloomFilter / MarkedKeyFilter /
+//      ShardedCcf probe batches cluster; no bench has measured what it buys
+//      them. CcfBase's probe batches (LookupBatch, ContainsKeyBatch) do not:
+//      there it measured slower on perfbench probe-dram (see
+//      CcfBase::BatchResolve);
 //   3. resolve loop  — an N-way interleaved software pipeline (below).
 //
 // The resolve loop is SOFTWARE-PIPELINED three deep: in one iteration it
@@ -63,12 +66,12 @@ namespace ccf {
 inline constexpr size_t kBatchPipelineBlock = 2048;
 
 /// Pipeline block size of the batched INSERT paths (CcfBase::InsertBatch,
-/// CuckooFilter::InsertBatch). Writes resolve ~3× more work per item than
-/// probes (both buckets scanned, a store, attribute fingerprinting), so the
-/// read-path block of 2048 would evict its own prefetched lines from L2
-/// before the tail of the block resolves; 512 items × ~2 buckets × ~2
-/// lines ≈ 130 KB stays resident. Measured best among 256/512/1024/2048 on
-/// the ~92 MB chained build.
+/// CuckooFilter::InsertBatch). Sized so that the lines a block prefetches
+/// at its start still sit in L2 when its last item resolves: an insert
+/// touches both buckets of its pair for write, and 512 items × ~2 buckets
+/// × ~2 lines ≈ 130 KB, where the read-path block of 2048 would need
+/// ~500 KB. An estimate, not a measurement: no checked-in bench has swept
+/// this size.
 inline constexpr size_t kInsertBatchBlock = 512;
 
 /// Batches of at most this many items run entirely on stack scratch: tiny

@@ -171,40 +171,6 @@ void BitVector::Clear() {
   if (num_words_ > 0) std::memset(words_, 0, num_words_ * sizeof(uint64_t));
 }
 
-uint64_t BitVector::GetField(size_t pos, int width) const {
-  CCF_DCHECK(width >= 1 && width <= 64);
-  CCF_DCHECK(pos + static_cast<size_t>(width) <= num_bits_);
-  size_t word = pos >> 6;
-  int shift = static_cast<int>(pos & 63);
-  uint64_t lo = words_[word] >> shift;
-  int bits_from_lo = 64 - shift;
-  uint64_t value = lo;
-  if (width > bits_from_lo) {
-    value |= words_[word + 1] << bits_from_lo;
-  }
-  if (width < 64) {
-    value &= (uint64_t{1} << width) - 1;
-  }
-  return value;
-}
-
-void BitVector::SetField(size_t pos, int width, uint64_t value) {
-  CCF_DCHECK(width >= 1 && width <= 64);
-  CCF_DCHECK(pos + static_cast<size_t>(width) <= num_bits_);
-  if (alias_keepalive_) EnsureOwned();
-  uint64_t mask = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-  value &= mask;
-  size_t word = pos >> 6;
-  int shift = static_cast<int>(pos & 63);
-  words_[word] = (words_[word] & ~(mask << shift)) | (value << shift);
-  int bits_in_lo = 64 - shift;
-  if (width > bits_in_lo) {
-    uint64_t hi_mask = mask >> bits_in_lo;
-    words_[word + 1] =
-        (words_[word + 1] & ~hi_mask) | (value >> bits_in_lo);
-  }
-}
-
 void BitVector::Save(ByteWriter* writer) const {
   writer->WriteU64(num_bits_);
   // Pad so the word array sits 8-byte aligned from the blob start: a

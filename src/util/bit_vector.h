@@ -119,10 +119,39 @@ class BitVector {
   }
 
   /// Reads `width` (1..64) bits starting at bit offset `pos`.
-  uint64_t GetField(size_t pos, int width) const;
+  uint64_t GetField(size_t pos, int width) const {
+    CCF_DCHECK(width >= 1 && width <= 64);
+    CCF_DCHECK(pos + static_cast<size_t>(width) <= num_bits_);
+    size_t word = pos >> 6;
+    int shift = static_cast<int>(pos & 63);
+    uint64_t value = words_[word] >> shift;
+    int bits_from_lo = 64 - shift;
+    if (width > bits_from_lo) {
+      value |= words_[word + 1] << bits_from_lo;
+    }
+    if (width < 64) {
+      value &= (uint64_t{1} << width) - 1;
+    }
+    return value;
+  }
 
   /// Writes the low `width` (1..64) bits of `value` at bit offset `pos`.
-  void SetField(size_t pos, int width, uint64_t value);
+  void SetField(size_t pos, int width, uint64_t value) {
+    CCF_DCHECK(width >= 1 && width <= 64);
+    CCF_DCHECK(pos + static_cast<size_t>(width) <= num_bits_);
+    if (alias_keepalive_) EnsureOwned();
+    uint64_t mask = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    value &= mask;
+    size_t word = pos >> 6;
+    int shift = static_cast<int>(pos & 63);
+    words_[word] = (words_[word] & ~(mask << shift)) | (value << shift);
+    int bits_in_lo = 64 - shift;
+    if (width > bits_in_lo) {
+      uint64_t hi_mask = mask >> bits_in_lo;
+      words_[word + 1] =
+          (words_[word + 1] & ~hi_mask) | (value >> bits_in_lo);
+    }
+  }
 
   /// Returns 64 bits loaded from the byte containing `pos`, shifted so bit
   /// `pos` lands at bit 0. At least 57 bits starting at `pos` are valid

@@ -121,6 +121,37 @@ TEST(ChainedCcfTest, FiniteChainCapReturnsTrueConservatively) {
   EXPECT_TRUE(ccf->Contains(3, Predicate::Equals(0, 999)));
 }
 
+TEST(ChainedCcfTest, ChainLongerThanHardChainCap) {
+  // A configured Lmax above kHardChainCap: one key's chain runs past the
+  // walk's inline visited capacity on the insert, probe and marked-filter
+  // walks alike.
+  CcfConfig c = BaseConfig();
+  c.max_dupes = 1;
+  c.max_chain = 3 * kHardChainCap;
+  const uint64_t kRows = 2 * kHardChainCap + 10;
+  std::vector<uint64_t> keys(kRows, 5);
+  std::vector<uint64_t> attrs;
+  for (uint64_t v = 0; v < kRows; ++v) attrs.push_back(v);
+  auto batch = MakeChained(c);
+  ASSERT_TRUE(batch->InsertBatch(keys, attrs).ok());
+  auto scalar = MakeChained(c);
+  for (uint64_t v = 0; v < kRows; ++v) {
+    ASSERT_TRUE(scalar->Insert(5, std::vector<uint64_t>{v}).ok());
+  }
+  for (const auto* ccf : {batch.get(), scalar.get()}) {
+    const auto& chained = static_cast<const ChainedCcf&>(*ccf);
+    EXPECT_GT(chained.max_chain_seen(), kHardChainCap);
+    EXPECT_EQ(chained.num_overflow_rows(), 0u);
+    for (uint64_t v = 0; v < kRows; ++v) {
+      ASSERT_TRUE(ccf->Contains(5, Predicate::Equals(0, v))) << v;
+    }
+    auto marked = ccf->PredicateQuery(Predicate::Equals(0, kRows - 1));
+    ASSERT_TRUE(marked.ok());
+    EXPECT_TRUE(marked.ValueOrDie()->Contains(5));
+  }
+  EXPECT_EQ(batch->Serialize(), scalar->Serialize());
+}
+
 TEST(ChainedCcfTest, HighLoadFactorWithSkewedDuplicates) {
   // Figure 4's claim: chaining sustains ≈87% load at b=6 under heavy
   // duplication.

@@ -3,6 +3,7 @@
 // reproduce identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -94,6 +95,63 @@ TEST(ChainWalkTest, DifferentFingerprintsWalkDifferentChains) {
     b.Advance();
   }
   EXPECT_LE(same, 1);  // only coincidental overlaps
+}
+
+// ChainWalk keeps its first kHardChainCap visited pairs inline and spills
+// the rest; its pair sequence must match a plain vector-backed walk well
+// past that point, including pairs first seen after the spill, and again
+// after a Restart.
+TEST(ChainWalkTest, MatchesVectorWalkPastHardChainCap) {
+  constexpr uint32_t kMaxCycleRounds = 8;  // ChainWalk's extension bound
+  struct ReferenceWalk {
+    const Hasher* hasher;
+    uint64_t mask;
+    uint32_t fp;
+    BucketPair pair;
+    std::vector<uint64_t> visited;
+
+    BucketPair MakePair(uint64_t b) const {
+      return {b, cuckoo_addressing::AltBucket(*hasher, b, fp, mask)};
+    }
+    void Start(uint64_t b, uint32_t f) {
+      fp = f;
+      pair = MakePair(b);
+      visited = {pair.Canonical(mask + 1)};
+    }
+    void Advance() {
+      uint64_t base = std::min(pair.primary, pair.alt);
+      for (uint32_t round = 0;; ++round) {
+        BucketPair c = MakePair(hasher->HashPair(base, fp, round) & mask);
+        uint64_t canonical = c.Canonical(mask + 1);
+        bool seen = std::find(visited.begin(), visited.end(), canonical) !=
+                    visited.end();
+        if (!seen || round >= kMaxCycleRounds) {
+          pair = c;
+          visited.push_back(canonical);
+          return;
+        }
+      }
+    }
+  };
+  Hasher hasher(21);
+  for (uint64_t mask : {uint64_t{255}, uint64_t{1023}}) {
+    for (uint32_t fp : {0x3u, 0x5Au, 0x7FFu}) {
+      ChainWalk walk(&hasher, mask, 7, fp);
+      ReferenceWalk ref{&hasher, mask, 0, {}, {}};
+      for (int restart = 0; restart < 2; ++restart) {
+        const uint64_t start = 7 + 100 * static_cast<uint64_t>(restart);
+        if (restart > 0) walk.Restart(start, fp);
+        ref.Start(start, fp);
+        for (int hop = 0; hop < 3 * kHardChainCap; ++hop) {
+          ASSERT_EQ(walk.pair().primary, ref.pair.primary)
+              << "mask " << mask << " fp " << fp << " hop " << hop;
+          ASSERT_EQ(walk.pair().alt, ref.pair.alt);
+          walk.Advance();
+          ref.Advance();
+        }
+      }
+    }
+  }
 }
 
 TEST(ChainWalkTest, HopsCountAdvances) {

@@ -1,9 +1,11 @@
 // Pinned bit-identity digests of the chained CCF's bulk build. Each case
 // builds a filter, hashes its Serialize() blob with the library's lookup3
 // (hashlittle2, fixed seeds) and compares against a digest recorded before
-// the wave-2 chain cursor existed: any change to slot placement, duplicate
-// collapsing, chain walking or overflow accounting shows up as a digest
-// mismatch. Every inserted row must also answer Contains true (Theorem 3).
+// the bulk-build shortcuts it guards existed (the wave-2 chain cursor; the
+// once-per-run key hashing and the wave-1 saturation skip): any change to slot
+// placement, duplicate collapsing, chain walking or overflow accounting
+// shows up as a digest mismatch. Every inserted row must also answer
+// Contains true (Theorem 3).
 //
 // The cases target the duplicate-key chaining paths:
 //  * a RangeCcf anchor over synthetic IMDB title rows (η = 11 label rows
@@ -13,6 +15,11 @@
 //    revisits pairs, and exact-duplicate rows share a batch;
 //  * one chain's deferred rows split by an InsertBatch block boundary, with
 //    a wave-1 write into that chain in between;
+//  * a key's first pair saturated by another key of its fingerprint before
+//    the key's run arrives, in the same batch and in an earlier one;
+//  * equal keys that are not adjacent in the batch;
+//  * rows of other fingerprints in a saturated pair's bucket, which wave 1
+//    must still place in order;
 //  * a ShardedCcf whose shards hit CapacityError and double through the
 //    memoized rebuild;
 //  * a wide geometry (slot_bits() > 64, no packed payload word) and the
@@ -306,6 +313,195 @@ TEST(ChainedBuildDigestTest, ChainRunAcrossBlockBoundary) {
   EXPECT_EQ(static_cast<const ChainedCcf&>(*filter).max_chain_seen(), 4);
   ExpectAllRowsPresent(*filter, rows);
   EXPECT_EQ(Hex(Digest(filter->Serialize())), Hex(0xc45d0fc745c9b0c7ull));
+}
+
+// Keys sharing key A's fingerprint: B with A's first pair from the same
+// primary bucket, C with it from the other side (primary = A's alt bucket).
+struct SharedPairKeys {
+  uint64_t a = 1, b = 0, c = 0, x = 0;  // x: a different fingerprint
+};
+
+SharedPairKeys FindSharedPairKeys(const CcfConfig& config) {
+  const Hasher hasher(config.salt);
+  const uint64_t mask = config.num_buckets - 1;
+  SharedPairKeys keys;
+  uint64_t a_bucket;
+  uint32_t a_fp;
+  cuckoo_addressing::IndexAndFingerprint(hasher, keys.a, mask,
+                                         config.key_fp_bits, &a_bucket, &a_fp);
+  const uint64_t a_alt =
+      cuckoo_addressing::AltBucket(hasher, a_bucket, a_fp, mask);
+  EXPECT_NE(a_alt, a_bucket);
+  for (uint64_t k = 2; keys.b == 0 || keys.c == 0 || keys.x == 0; ++k) {
+    uint64_t bucket;
+    uint32_t fp;
+    cuckoo_addressing::IndexAndFingerprint(hasher, k, mask, config.key_fp_bits,
+                                           &bucket, &fp);
+    if (fp != a_fp) {
+      if (keys.x == 0) keys.x = k;
+    } else if (bucket == a_bucket && keys.b == 0) {
+      keys.b = k;
+    } else if (bucket == a_alt && keys.c == 0) {
+      keys.c = k;
+    }
+  }
+  return keys;
+}
+
+// Before key A's run arrives, keys B and C — A's fingerprint and A's first
+// pair — saturate that pair (max_dupes 2) and start its chain. A's rows
+// must then walk on, and A's rows whose attributes equal a B row must
+// collapse into it wherever on the chain it sits. Run once as one batch
+// and once with B and C in an earlier batch, so the saturation is found
+// both by this batch's own wave 1 and in the table a previous batch left.
+uint64_t SaturatedBeforeRunDigest(bool split) {
+  const CcfConfig config = TinyConfig(2);
+  const SharedPairKeys keys = FindSharedPairKeys(config);
+  Rows rows;
+  rows.num_attrs = 2;
+  auto add = [&](uint64_t key, uint64_t a0, uint64_t a1) {
+    rows.keys.push_back(key);
+    rows.flat_attrs.push_back(a0);
+    rows.flat_attrs.push_back(a1);
+  };
+  for (uint64_t r = 0; r < 3; ++r) add(keys.b, r, 1);
+  add(keys.c, 50, 2);
+  add(keys.x, 7, 7);
+  const size_t first_batch = rows.keys.size();
+  // r = 0 and r = 2 repeat B's rows (0, 1) and (2, 1): collapses at hop 0
+  // and hop 1.
+  for (uint64_t r = 0; r < 8; ++r) add(keys.a, r, r % 2 == 0 ? 1 : 0);
+
+  auto filter =
+      ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();
+  if (split) {
+    EXPECT_TRUE(filter
+                    ->InsertBatch(std::span(rows.keys).first(first_batch),
+                                  std::span(rows.flat_attrs)
+                                      .first(2 * first_batch))
+                    .ok());
+    EXPECT_TRUE(filter
+                    ->InsertBatch(std::span(rows.keys).subspan(first_batch),
+                                  std::span(rows.flat_attrs)
+                                      .subspan(2 * first_batch))
+                    .ok());
+  } else {
+    EXPECT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
+  }
+  EXPECT_EQ(filter->num_rows(), 11u);  // 3 B + 1 C + 1 X + 6 new A rows
+  EXPECT_GE(static_cast<const ChainedCcf&>(*filter).max_chain_seen(), 4);
+  ExpectAllRowsPresent(*filter, rows);
+  return Digest(filter->Serialize());
+}
+
+TEST(ChainedBuildDigestTest, PairSaturatedByAnotherKeyBeforeRun) {
+  EXPECT_EQ(Hex(SaturatedBeforeRunDigest(/*split=*/false)),
+            Hex(0xa913b177ccb0e141ull));
+  EXPECT_EQ(Hex(SaturatedBeforeRunDigest(/*split=*/true)),
+            Hex(0xa17ecb4caf208684ull));
+}
+
+// Equal keys that are not adjacent: A's rows interleaved with rows of X (a
+// different fingerprint) and of B (A's address), so neither a key's hash
+// nor a saturated address carries over from the previous row, and
+// repeated rows of one key arrive apart.
+TEST(ChainedBuildDigestTest, EqualKeysNotAdjacent) {
+  const CcfConfig config = TinyConfig(2);
+  const SharedPairKeys keys = FindSharedPairKeys(config);
+  const uint64_t cycle[] = {keys.a, keys.x, keys.a, keys.b, keys.x,
+                            keys.b, keys.a, keys.c};
+  Rows rows;
+  rows.num_attrs = 2;
+  // The key cycles every 8 rows and the attributes every 6, so each row
+  // recurs 24 positions later.
+  for (uint64_t i = 0; i < 48; ++i) {
+    rows.keys.push_back(cycle[i % 8]);
+    rows.flat_attrs.push_back(i % 6);
+    rows.flat_attrs.push_back(1);
+  }
+  auto filter =
+      ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();
+  ASSERT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
+  ExpectAllRowsPresent(*filter, rows);
+  EXPECT_EQ(Hex(Digest(filter->Serialize())), Hex(0x1b3cef38a127f1b5ull));
+}
+
+// Wave 1 may skip a row only for the exact saturated (first pair, fp): a
+// row of another fingerprint in the same primary bucket must still be
+// placed in wave 1, ahead of a later wave-1 row competing for the same
+// free slot. Key A saturates its first pair (max_dupes 2, both copies in
+// A's primary bucket), then a row of Y (another fingerprint, same primary
+// bucket) arrives, then a row of V, whose pair has A's primary bucket as
+// its ALT bucket and whose own primary bucket — clustered after A's — is
+// already full. Y must take the first free slot of the shared bucket and
+// V the next.
+TEST(ChainedBuildDigestTest, SaturationSkipIsPerFingerprint) {
+  const CcfConfig config = TinyConfig(2);
+  const Hasher hasher(config.salt);
+  const uint64_t mask = config.num_buckets - 1;
+  auto address = [&](uint64_t key, uint64_t* bucket, uint32_t* fp) {
+    cuckoo_addressing::IndexAndFingerprint(hasher, key, mask,
+                                           config.key_fp_bits, bucket, fp);
+  };
+  // A: the first key whose primary bucket leaves room for V's above it.
+  uint64_t key_a = 0, a_bucket = 0;
+  uint32_t a_fp = 0;
+  uint64_t key_y = 0, key_v = 0, v_bucket = 0;
+  uint32_t v_fp = 0;
+  for (uint64_t a = 1; key_v == 0; ++a) {
+    address(a, &a_bucket, &a_fp);
+    if (a_bucket >= mask / 2) continue;
+    key_a = a;
+    key_y = key_v = 0;
+    uint32_t y_fp = 0;
+    for (uint64_t k = 1; k < 200000 && (key_y == 0 || key_v == 0); ++k) {
+      uint64_t bucket;
+      uint32_t fp;
+      address(k, &bucket, &fp);
+      if (fp == a_fp) continue;
+      if (key_y == 0 && bucket == a_bucket) {
+        key_y = k;
+        y_fp = fp;
+      } else if (key_v == 0 && bucket > a_bucket &&
+                 cuckoo_addressing::AltBucket(hasher, bucket, fp, mask) ==
+                     a_bucket) {
+        key_v = k;
+        v_bucket = bucket;
+        v_fp = fp;
+      }
+    }
+    if (key_v != 0 && (key_y == 0 || v_fp == y_fp)) key_v = 0;
+  }
+  // Four keys that fill V's primary bucket, none with V's fingerprint.
+  std::vector<uint64_t> fillers;
+  for (uint64_t k = 1; fillers.size() < 4; ++k) {
+    uint64_t bucket;
+    uint32_t fp;
+    address(k, &bucket, &fp);
+    if (bucket == v_bucket && fp != v_fp && k != key_v) fillers.push_back(k);
+  }
+
+  Rows rows;
+  rows.num_attrs = 2;
+  auto add = [&](uint64_t key, uint64_t a0, uint64_t a1) {
+    rows.keys.push_back(key);
+    rows.flat_attrs.push_back(a0);
+    rows.flat_attrs.push_back(a1);
+  };
+  for (uint64_t f : fillers) add(f, 1, 1);
+  for (uint64_t r = 0; r < 3; ++r) add(key_a, r, 0);
+  add(key_y, 9, 9);
+  add(key_v, 8, 8);
+
+  auto filter =
+      ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();
+  ASSERT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
+  EXPECT_EQ(filter->num_rows(), rows.keys.size());
+  const BucketTable& table = static_cast<const ChainedCcf&>(*filter).table();
+  EXPECT_EQ(table.OccupiedMask(v_bucket), 0xfu);
+  EXPECT_EQ(table.OccupiedMask(a_bucket), 0xfu);
+  ExpectAllRowsPresent(*filter, rows);
+  EXPECT_EQ(Hex(Digest(filter->Serialize())), Hex(0x0d86b7b43dd836deull));
 }
 
 // --- Case 3: memoized doubling rebuild through ShardedCcf --------------------

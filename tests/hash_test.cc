@@ -55,6 +55,52 @@ TEST(Lookup3Test, Hash2ProducesTwoIndependentWords) {
   EXPECT_NE(pc, pb);
 }
 
+// Lookup3Hash64 is hashlittle2 specialised to 8 bytes; these values were
+// recorded from the general byte-wise Lookup3Hash2 path.
+TEST(Lookup3Test, Hash64KnownAnswers) {
+  struct Case {
+    uint64_t key, seed, hash;
+  };
+  const Case cases[] = {
+      {0x0000000000000000ull, 0x0000000000000000ull, 0x43f8ce9e58c184bfull},
+      {0x0000000000000001ull, 0x0000000000000000ull, 0xcce8c71c5543253full},
+      {0x0000000000000000ull, 0x0000000000000001ull, 0xb71f08f20ee58a0dull},
+      {0x0123456789abcdefull, 0xfedcba9876543210ull, 0xa35364fb315b87bdull},
+      {0xffffffffffffffffull, 0xffffffffffffffffull, 0x6d2c911323700e53ull},
+      {0x000000000000002aull, 0x9e3779b97f4a7c15ull, 0x53e23d21c55d96c0ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Lookup3Hash64(c.key, c.seed), c.hash)
+        << std::hex << "key 0x" << c.key << " seed 0x" << c.seed;
+  }
+}
+
+// Differential: the inline 8-byte form against Lookup3Hash2 over the key's
+// little-endian bytes, seeds split the same way (low word -> *pc, high
+// word -> *pb), on random keys and seeds.
+TEST(Lookup3Test, Hash64MatchesHash2OverEightBytes) {
+  uint64_t state = 0x853c49e6748fea9bull;
+  auto next = [&state] {  // splitmix64
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t key = next();
+    const uint64_t seed = next();
+    unsigned char bytes[8];
+    for (int j = 0; j < 8; ++j) {
+      bytes[j] = static_cast<unsigned char>(key >> (8 * j));
+    }
+    uint32_t pc = static_cast<uint32_t>(seed);
+    uint32_t pb = static_cast<uint32_t>(seed >> 32);
+    Lookup3Hash2(bytes, sizeof(bytes), &pc, &pb);
+    ASSERT_EQ(Lookup3Hash64(key, seed), (uint64_t{pb} << 32) | pc)
+        << std::hex << "key 0x" << key << " seed 0x" << seed;
+  }
+}
+
 TEST(Lookup3Test, AvalancheQuality) {
   // Flipping one input bit should flip ~half the output bits on average.
   uint64_t total_flipped = 0;
