@@ -13,6 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -828,7 +830,11 @@ BENCHMARK(BM_ShardedParallelBuild)->Arg(1)->Arg(2)->Arg(4)
 // keys/s is aggregate across callers (UseRealTime) and p99_ns is the 99th
 // percentile sub-batch latency pooled over every caller, so tail
 // inflation from cross-thread interference is visible next to the
-// single-caller BM_HotLookupBatchLatency row.
+// single-caller BM_HotLookupBatchLatency row. The callers start once,
+// before the timed loop, and a barrier releases them for each iteration:
+// spawning them inside it made the smoke-size row measure thread creation
+// (flat keys/s over 1/2/4 callers). MinTime overrides the smoke runs'
+// --benchmark_min_time so the row always averages several iterations.
 void BM_ShardedParallelLookup(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const HotPathFixture& f = HotPath();
@@ -836,24 +842,26 @@ void BM_ShardedParallelLookup(benchmark::State& state) {
   const size_t slice = kHotProbes / static_cast<size_t>(threads);
   std::vector<std::vector<double>> samples(
       static_cast<size_t>(threads));
-  for (auto _ : state) {
-    std::vector<std::thread> callers;
-    callers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      callers.emplace_back([&, t] {
-        std::unique_ptr<bool[]> out(new bool[kSubBatch]);
-        std::vector<double>& my_samples =
-            samples[static_cast<size_t>(t)];
-        const size_t begin0 = slice * static_cast<size_t>(t);
-        const size_t end =
-            t == threads - 1 ? kHotProbes : begin0 + slice;
+  std::barrier<> start(threads + 1);
+  std::barrier<> done(threads + 1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> callers;
+  callers.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    callers.emplace_back([&, t] {
+      std::unique_ptr<bool[]> out(new bool[kSubBatch]);
+      std::vector<double>& my_samples = samples[static_cast<size_t>(t)];
+      const size_t begin0 = slice * static_cast<size_t>(t);
+      const size_t end = t == threads - 1 ? kHotProbes : begin0 + slice;
+      for (;;) {
+        start.arrive_and_wait();
+        if (stop.load(std::memory_order_relaxed)) return;
         for (size_t begin = begin0; begin < end; begin += kSubBatch) {
           const size_t n = std::min(kSubBatch, end - begin);
           const auto t0 = std::chrono::steady_clock::now();
           f.sharded
               ->LookupBatch(
-                  std::span<const uint64_t>(f.probe_keys.data() + begin,
-                                            n),
+                  std::span<const uint64_t>(f.probe_keys.data() + begin, n),
                   std::span<const Predicate>(&f.pred, 1),
                   std::span<bool>(out.get(), n))
               .Abort();
@@ -862,10 +870,17 @@ void BM_ShardedParallelLookup(benchmark::State& state) {
               std::chrono::duration<double, std::nano>(t1 - t0).count());
           benchmark::DoNotOptimize(out.get());
         }
-      });
-    }
-    for (auto& c : callers) c.join();
+        done.arrive_and_wait();
+      }
+    });
   }
+  for (auto _ : state) {
+    start.arrive_and_wait();
+    done.arrive_and_wait();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  start.arrive_and_wait();
+  for (auto& c : callers) c.join();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kHotProbes));
   SetTableMb(state, f.sharded->SizeInBits());
@@ -890,7 +905,7 @@ void ShardedLookupThreadArgs(benchmark::internal::Benchmark* b) {
   }
 }
 BENCHMARK(BM_ShardedParallelLookup)->Apply(ShardedLookupThreadArgs)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- Bulk-build hot path -----------------------------------------------------
 //

@@ -15,7 +15,7 @@ int SketchHashes(const CcfConfig& config) {
   double n = 2.0 * config.num_attrs;
   double k = static_cast<double>(config.bloom_bits) / n *
              std::numbers::ln2_v<double>;
-  return std::clamp(static_cast<int>(std::lround(k)), 1, 16);
+  return std::clamp(static_cast<int>(std::lround(k)), 1, kMaxBloomHashes);
 }
 
 }  // namespace

@@ -114,6 +114,14 @@ Status ValidateConfig(CcfVariant variant, const CcfConfig& config) {
   if (variant == CcfVariant::kBloom && config.bloom_bits < 1) {
     return Status::Invalid("bloom_bits must be >= 1");
   }
+  // Bloom and Mixed hash every sketch probe bloom_hashes times: a corrupt
+  // header's 2^31 would stall each insert for seconds and, wrapped negative,
+  // silently drop sketch bits (false negatives). 16 is the ceiling
+  // optimize_bloom_hashes already clamps to.
+  if ((variant == CcfVariant::kBloom || variant == CcfVariant::kMixed) &&
+      (config.bloom_hashes < 1 || config.bloom_hashes > kMaxBloomHashes)) {
+    return Status::Invalid("bloom_hashes must be in [1, 16]");
+  }
   return Status::OK();
 }
 

@@ -78,6 +78,10 @@ struct CcfConfig {
 /// Hard cap on chain walks when max_chain is 0 ("unbounded").
 inline constexpr int kHardChainCap = 64;
 
+/// Most Bloom sketch hash functions a Bloom or Mixed filter accepts
+/// (config.bloom_hashes, and the optimize_bloom_hashes optimum's clamp).
+inline constexpr int kMaxBloomHashes = 16;
+
 /// Shared shape validation for LookupBatch implementations: out must match
 /// keys, preds must be broadcast (1) or per-key (keys.size()).
 Status ValidateLookupBatchShape(size_t num_keys, size_t num_preds,

@@ -593,6 +593,7 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
   BatchPipelineOptions options;
   options.cluster_bits = std::bit_width(table.bucket_mask());
   options.block_size = kInsertBatchBlock;
+  const bool prefetch = InsertPrefetches(table.SizeInBits());
   Status first_error = Status::OK();
   // The previous row's key hash and address: the run cache of the address
   // pass (valid once i > 0).
@@ -636,23 +637,20 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
         return a;
       },
       [&](const Addr& a) {
-        // Write intent: nearly every row both scans and stores to its pair,
-        // so pull the lines exclusive and skip the RFO upgrade.
-        table.PrefetchBucketForWrite(a.pair.primary);
-        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
+        // Nearly every row both scans and stores to its pair: fetch the
+        // slot lines and the occupancy line of both buckets.
+        if (!prefetch) return;
+        table.PrefetchBucketForInsert(a.pair.primary);
+        if (!a.pair.degenerate()) table.PrefetchBucketForInsert(a.pair.alt);
       },
       [&](size_t i, Addr& a) {
         if (!first_error.ok()) return true;  // drain the batch cheaply
         return wave1(a.pair, a.fp, attrs.subspan(i * num_attrs, num_attrs),
                      a.payload);
       },
-      [&](const Addr& a) {
-        // Deferred rows re-touch their pair after the rest of the block's
-        // wave 1 may have evicted it; re-issue the pair prefetch (kick
-        // chains then wander to buckets nobody can predict).
-        table.PrefetchBucketForWrite(a.pair.primary);
-        if (!a.pair.degenerate()) table.PrefetchBucketForWrite(a.pair.alt);
-      },
+      // No wave-2 prefetch: wave 1 has just fetched the deferred row's pair
+      // (kick chains then wander to buckets nobody can predict).
+      [](const Addr&) {},
       [&](size_t i, const Addr& a) {
         if (!first_error.ok()) return;
         Status st = wave2(a.pair, a.fp,

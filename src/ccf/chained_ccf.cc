@@ -52,6 +52,28 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
   bool have_saturated = false;
   uint64_t saturated_primary = 0;
   uint32_t saturated_fp = 0;
+  // Wave 2 walks a saturated chain's hops 1.. one dependent miss after
+  // another, so wave 1 prefetches them while the rest of the block runs.
+  // The n-th row deferred to a chain lands on hop 1 + (n - 1) / max_dupes
+  // at the earliest (each hop holds max_dupes copies), so each deferred
+  // row extends the prefetch walk to that hop: a range build's η = 11
+  // label rows with max_dupes = 3 prefetch hops 1-3, a key with fewer
+  // copies fewer. The walk is a pure function of (primary, fp): it reads
+  // no table state, so it never goes stale. Off where the pair prefetches
+  // are (InsertPrefetches).
+  const bool prefetch = InsertPrefetches(table_->SizeInBits());
+  std::optional<ChainWalk> hop_walk;
+  int deferred_rows = 0;
+  auto prefetch_next_hop = [&]() {
+    const int hop = 1 + deferred_rows / config_.max_dupes;
+    if (hop >= ChainCap()) return;
+    ++deferred_rows;
+    if (hop <= hop_walk->hops()) return;
+    hop_walk->Advance();
+    const BucketPair& next = hop_walk->pair();
+    table_->PrefetchBucketForInsert(next.primary);
+    if (!next.degenerate()) table_->PrefetchBucketForInsert(next.alt);
+  };
   return InsertBatchWith(
       keys, attrs, hash_memo,
       [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
@@ -59,6 +81,7 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
         cursor.Reset();
         if (have_saturated && pair.primary == saturated_primary &&
             fp == saturated_fp) {
+          if (prefetch) prefetch_next_hop();
           return false;
         }
         bool saturated = false;
@@ -69,6 +92,16 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
           have_saturated = true;
           saturated_primary = pair.primary;
           saturated_fp = fp;
+          if (prefetch) {
+            if (hop_walk) {
+              hop_walk->Restart(pair.primary, fp);
+            } else {
+              hop_walk.emplace(&hasher_, table_->bucket_mask(), pair.primary,
+                               fp);
+            }
+            deferred_rows = 0;
+            prefetch_next_hop();
+          }
         }
         return false;
       },

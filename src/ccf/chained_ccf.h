@@ -36,8 +36,9 @@ class ChainedCcf : public CcfBase {
   /// consecutive deferred rows with the same (first-pair primary, fp) — the
   /// η label rows of one key in a range build — walks its chain once
   /// instead of once per row, and wave 1 skips the first-pair scan of a
-  /// row whose first pair it has already found saturated. Bit-identical to
-  /// per-row InsertAddressed.
+  /// row whose first pair it has already found saturated and prefetches
+  /// the chain hops that row will need. Bit-identical to per-row
+  /// InsertAddressed.
   Status InsertBatch(std::span<const uint64_t> keys,
                      std::span<const uint64_t> attrs,
                      std::vector<uint64_t>* hash_memo = nullptr) override;

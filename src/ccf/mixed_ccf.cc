@@ -20,7 +20,7 @@ int ConversionHashes(const CcfConfig& config) {
                       config.num_attrs * config.attr_fp_bits;
   double n = static_cast<double>(config.max_dupes + 1) * config.num_attrs;
   double k = total_bits / n * std::numbers::ln2_v<double>;
-  return std::clamp(static_cast<int>(std::lround(k)), 1, 16);
+  return std::clamp(static_cast<int>(std::lround(k)), 1, kMaxBloomHashes);
 }
 
 }  // namespace

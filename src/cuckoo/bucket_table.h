@@ -66,18 +66,12 @@ class BucketTable {
     slots_.PrefetchBitRange(first, first + read_tail_bits_);
   }
 
-  /// PrefetchBucket with WRITE intent: pulls the bucket's lines in
-  /// exclusive state so the insert that follows skips the read-for-
-  /// ownership upgrade. Batched insert paths use this — they read the pair
-  /// (dedupe scan) and then usually store to it.
-  void PrefetchBucketForWrite(uint64_t bucket) const {
-    size_t first = SlotBitOffset(bucket, 0);
-    slots_.PrefetchBitForWrite(first);
-    slots_.PrefetchBitForWrite(first + static_cast<size_t>(slot_bits_) *
-                                           static_cast<size_t>(
-                                               slots_per_bucket_) -
-                               1);
-    occupied_.PrefetchBitForWrite(SlotIndex(bucket, 0));
+  /// PrefetchBucket plus the line holding the bucket's occupancy bits: the
+  /// batched insert paths read OccupiedMask to find a free slot and
+  /// Put/PutSlot write it.
+  void PrefetchBucketForInsert(uint64_t bucket) const {
+    PrefetchBucket(bucket);
+    occupied_.PrefetchBit(SlotIndex(bucket, 0));
   }
 
   uint32_t fingerprint(uint64_t bucket, int slot) const {

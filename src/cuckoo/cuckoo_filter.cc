@@ -160,6 +160,7 @@ Status CuckooFilter::InsertBatch(std::span<const uint64_t> keys) {
   BatchPipelineOptions options;
   options.cluster_bits = std::bit_width(table_.bucket_mask());
   options.block_size = kInsertBatchBlock;
+  const bool prefetch = InsertPrefetches(table_.SizeInBits());
   Status first_error = Status::OK();
   RunBatchPipelineTwoWave<Addr>(
       keys.size(), options,
@@ -172,19 +173,16 @@ Status CuckooFilter::InsertBatch(std::span<const uint64_t> keys) {
         return a;
       },
       [&](const Addr& a) {
-        // Write intent: see CcfBase::InsertBatch.
-        table_.PrefetchBucketForWrite(a.bucket);
-        if (a.alt != a.bucket) table_.PrefetchBucketForWrite(a.alt);
+        if (!prefetch) return;
+        table_.PrefetchBucketForInsert(a.bucket);
+        if (a.alt != a.bucket) table_.PrefetchBucketForInsert(a.alt);
       },
       [&](size_t i, Addr& a) {
         (void)i;
         if (!first_error.ok()) return true;  // drain the batch cheaply
         return TryInsertNoKick(a.bucket, a.alt, a.fp);
       },
-      [&](const Addr& a) {
-        table_.PrefetchBucketForWrite(a.bucket);
-        if (a.alt != a.bucket) table_.PrefetchBucketForWrite(a.alt);
-      },
+      [](const Addr&) {},  // wave 1 has just fetched the deferred pair
       [&](size_t i, const Addr& a) {
         (void)i;
         if (!first_error.ok()) return;

@@ -14,9 +14,11 @@
 //      address ranges. Results are written to out[original index], so
 //      output is bit-identical to the unclustered order (tested). The
 //      insert paths and the CuckooFilter / BloomFilter / MarkedKeyFilter /
-//      ShardedCcf probe batches cluster; no bench has measured what it buys
-//      them. CcfBase's probe batches (LookupBatch, ContainsKeyBatch) do not:
-//      there it measured slower on perfbench probe-dram (see
+//      ShardedCcf probe batches cluster. For chained builds on and off
+//      measured within noise of each other beyond L3, inside L2 and on a
+//      range build (see kInsertBatchBlock; placement order depends on it).
+//      CcfBase's probe batches (LookupBatch, ContainsKeyBatch) do not
+//      cluster: there it measured slower on perfbench probe-dram (see
 //      CcfBase::BatchResolve);
 //   3. resolve loop  — an N-way interleaved software pipeline (below).
 //
@@ -68,11 +70,27 @@ inline constexpr size_t kBatchPipelineBlock = 2048;
 /// Pipeline block size of the batched INSERT paths (CcfBase::InsertBatch,
 /// CuckooFilter::InsertBatch). Sized so that the lines a block prefetches
 /// at its start still sit in L2 when its last item resolves: an insert
-/// touches both buckets of its pair for write, and 512 items × ~2 buckets
-/// × ~2 lines ≈ 130 KB, where the read-path block of 2048 would need
-/// ~500 KB. An estimate, not a measurement: no checked-in bench has swept
-/// this size.
+/// touches both buckets of its pair, and 512 items × ~2 buckets × ~2 lines
+/// ≈ 130 KB, where the read-path block of 2048 would need ~500 KB.
+/// Measured against 2048 on chained builds (median ns/row of 6 interleaved
+/// builds, 4-core Xeon VM, 2 MB L2): 233 vs 243 on the probe-dram table
+/// (2^25 buckets, beyond L3), 119 vs 140 on a 2^16-bucket table (inside
+/// L2), each inside the other's run-to-run range. Not resolved; the block
+/// stays, since changing it changes placement order.
 inline constexpr size_t kInsertBatchBlock = 512;
+
+/// Smallest table, in bytes, whose batched INSERTS prefetch. A table that
+/// fits in a core's L2 gains nothing from prefetching its lines, and the
+/// prefetches cost: chained builds of 60k-row cache-resident tables ran
+/// ~20% slower with them (median ns/row, interleaved builds, 4-core Xeon
+/// VM with 2 MB L2). Builds broke even at 1.6 MB, won at 3 MB and ran 2x
+/// faster beyond L3 (the 696 MB perfbench probe-dram table).
+inline constexpr uint64_t kInsertPrefetchMinBytes = uint64_t{2} << 20;
+
+/// Whether a batched insert into a table of `table_bits` prefetches.
+inline bool InsertPrefetches(uint64_t table_bits) {
+  return table_bits / 8 >= kInsertPrefetchMinBytes;
+}
 
 /// Batches of at most this many items run entirely on stack scratch: tiny
 /// ContainsBatch / InsertBatch calls (common in interactive paths and unit

@@ -90,14 +90,14 @@ class BitVector {
     }
   }
 
-  /// Prefetches the cache line holding bit `i` (read intent).
+  /// Prefetches the cache line holding bit `i`.
   void PrefetchBit(size_t i) const {
     CCF_DCHECK(i < num_bits_);
-    PrefetchRead(&words_[i >> 6]);
+    Prefetch(&words_[i >> 6]);
   }
 
-  /// Prefetches every cache line holding a byte of bits [first, last]
-  /// (read intent). `last` may point into the guard word or past the end
+  /// Prefetches every cache line holding a byte of bits [first, last].
+  /// `last` may point into the guard word or past the end
   /// (prefetches never fault); callers pass the span a LoadBits64-based
   /// reader will touch.
   void PrefetchBitRange(size_t first, size_t last) const {
@@ -107,15 +107,8 @@ class BitVector {
     for (uintptr_t line =
              reinterpret_cast<uintptr_t>(base + (first >> 3)) & ~uintptr_t{63};
          line <= end; line += 64) {
-      PrefetchRead(reinterpret_cast<const void*>(line));
+      Prefetch(reinterpret_cast<const void*>(line));
     }
-  }
-
-  /// Prefetches the cache line holding bit `i` with write intent — the
-  /// batched insert paths' flavour for lines they are about to store to.
-  void PrefetchBitForWrite(size_t i) const {
-    CCF_DCHECK(i < num_bits_);
-    PrefetchWrite(&words_[i >> 6]);
   }
 
   /// Reads `width` (1..64) bits starting at bit offset `pos`.

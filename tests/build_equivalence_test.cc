@@ -17,6 +17,7 @@
 #include "ccf/ccf.h"
 #include "ccf/sharded_ccf.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "util/batch_pipeline.h"
 #include "util/random.h"
 
 namespace ccf {
@@ -220,24 +221,29 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CuckooFilterInsertBatchTest, MatchesScalarInsertSemantics) {
-  CuckooFilterConfig config;
-  config.num_buckets = 4096;
-  config.fingerprint_bits = 12;
-  config.salt = 5;
-  std::vector<uint64_t> keys;
-  Rng rng(61);
-  for (int i = 0; i < 10000; ++i) keys.push_back(rng.NextBelow(8000));
+  // A table small enough to skip the insert prefetches and one large
+  // enough to issue them.
+  for (uint64_t buckets : {uint64_t{4096}, uint64_t{1} << 19}) {
+    CuckooFilterConfig config;
+    config.num_buckets = buckets;
+    config.fingerprint_bits = 12;
+    config.salt = 5;
+    std::vector<uint64_t> keys;
+    Rng rng(61);
+    for (int i = 0; i < 10000; ++i) keys.push_back(rng.NextBelow(8000));
 
-  auto scalar = CuckooFilter::Make(config).ValueOrDie();
-  for (uint64_t k : keys) ASSERT_TRUE(scalar.Insert(k).ok());
-  auto batch = CuckooFilter::Make(config).ValueOrDie();
-  ASSERT_TRUE(batch.InsertBatch(keys).ok());
+    auto scalar = CuckooFilter::Make(config).ValueOrDie();
+    for (uint64_t k : keys) ASSERT_TRUE(scalar.Insert(k).ok());
+    auto batch = CuckooFilter::Make(config).ValueOrDie();
+    EXPECT_EQ(InsertPrefetches(batch.SizeInBits()), buckets > 4096);
+    ASSERT_TRUE(batch.InsertBatch(keys).ok());
 
-  // Set semantics collapse duplicates identically in either order.
-  EXPECT_EQ(batch.num_items(), scalar.num_items());
-  EXPECT_DOUBLE_EQ(batch.LoadFactor(), scalar.LoadFactor());
-  for (uint64_t k : keys) {
-    ASSERT_TRUE(batch.Contains(k)) << "key " << k;
+    // Set semantics collapse duplicates identically in either order.
+    EXPECT_EQ(batch.num_items(), scalar.num_items());
+    EXPECT_DOUBLE_EQ(batch.LoadFactor(), scalar.LoadFactor());
+    for (uint64_t k : keys) {
+      ASSERT_TRUE(batch.Contains(k)) << "key " << k;
+    }
   }
 }
 

@@ -121,6 +121,42 @@ TEST(ChainedCcfTest, FiniteChainCapReturnsTrueConservatively) {
   EXPECT_TRUE(ccf->Contains(3, Predicate::Equals(0, 999)));
 }
 
+TEST(ChainedCcfTest, BatchMatchesScalarAtEveryChainCap) {
+  // Runs of one key interleaved with other keys: wave 1 meets saturated
+  // first pairs, restarts its hop prefetch walk per chain, and stops it at
+  // the cap (Lmax = 1 has no hop to prefetch). The batch must store
+  // exactly what per-row insertion stores, on a table too small for the
+  // insert prefetches and on one large enough for them.
+  std::vector<uint64_t> keys, attrs;
+  for (uint64_t run = 0; run < 6; ++run) {
+    for (uint64_t v = 0; v < 4 + 3 * run; ++v) {
+      keys.push_back(run % 3);
+      attrs.push_back(100 * run + v);
+    }
+  }
+  for (uint64_t buckets : {uint64_t{1} << 10, uint64_t{1} << 18}) {
+    for (int cap : {1, 2, 3, 0}) {
+      CcfConfig c = BaseConfig();
+      c.num_buckets = buckets;
+      c.max_chain = cap;
+      auto batch = MakeChained(c);
+      EXPECT_EQ(InsertPrefetches(batch->SizeInBits()),
+                buckets > (uint64_t{1} << 10));
+      ASSERT_TRUE(batch->InsertBatch(keys, attrs).ok());
+      auto scalar = MakeChained(c);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(
+            scalar->Insert(keys[i], std::vector<uint64_t>{attrs[i]}).ok());
+      }
+      EXPECT_EQ(batch->Serialize(), scalar->Serialize())
+          << buckets << " buckets, max_chain " << cap;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_TRUE(batch->Contains(keys[i], Predicate::Equals(0, attrs[i])));
+      }
+    }
+  }
+}
+
 TEST(ChainedCcfTest, ChainLongerThanHardChainCap) {
   // A configured Lmax above kHardChainCap: one key's chain runs past the
   // walk's inline visited capacity on the insert, probe and marked-filter

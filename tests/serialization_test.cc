@@ -284,5 +284,60 @@ TEST(HostileGeometryTest, RangeBlobRejected) {
   ExpectHostileGeometryRejected(range->Serialize(), "range");
 }
 
+// --- Sketch hash count ---------------------------------------------------------
+//
+// Bloom and Mixed filters read bloom_hashes from the blob header and hash
+// every sketch probe that many times. A patched 2e8 used to load: one Insert
+// then took seconds, and Contains answered false for a stored row.
+
+// Magic, variant tag, num_buckets, then the seven u32 fields before it.
+constexpr size_t kBloomHashesOffset = 4 + 1 + 8 + 7 * 4;
+
+CcfConfig SketchConfig() {
+  CcfConfig config;
+  config.num_buckets = 64;
+  config.num_attrs = 2;
+  config.salt = 5;
+  return config;
+}
+
+TEST(SketchHashCountTest, MakeRejectsOutOfRange) {
+  for (CcfVariant variant : {CcfVariant::kBloom, CcfVariant::kMixed}) {
+    for (int hashes : {-1, 0, kMaxBloomHashes + 1, 200000000}) {
+      CcfConfig config = SketchConfig();
+      config.bloom_hashes = hashes;
+      EXPECT_FALSE(ConditionalCuckooFilter::Make(variant, config).ok())
+          << static_cast<int>(variant) << " bloom_hashes " << hashes;
+    }
+    CcfConfig config = SketchConfig();
+    config.bloom_hashes = kMaxBloomHashes;
+    EXPECT_TRUE(ConditionalCuckooFilter::Make(variant, config).ok());
+  }
+}
+
+TEST(SketchHashCountTest, DeserializeRejectsOutOfRange) {
+  for (CcfVariant variant : {CcfVariant::kBloom, CcfVariant::kMixed}) {
+    auto ccf =
+        ConditionalCuckooFilter::Make(variant, SketchConfig()).ValueOrDie();
+    const std::vector<uint64_t> attrs = {1, 2};
+    ASSERT_TRUE(ccf->Insert(42, attrs).ok());
+    const std::string blob = ccf->Serialize();
+    uint32_t stored;
+    std::memcpy(&stored, blob.data() + kBloomHashesOffset, 4);
+    ASSERT_EQ(stored, static_cast<uint32_t>(SketchConfig().bloom_hashes));
+    for (const Status& st : DeserializeBothPaths(blob)) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (uint32_t hashes : {0u, 17u, 200000000u, 0x7fffffffu, 0xffffffffu}) {
+      std::string patched = blob;
+      std::memcpy(patched.data() + kBloomHashesOffset, &hashes, 4);
+      for (const Status& st : DeserializeBothPaths(patched)) {
+        EXPECT_FALSE(st.ok()) << static_cast<int>(variant)
+                              << " bloom_hashes " << hashes;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccf
