@@ -15,6 +15,11 @@
 //     the single-caller catalog path (keys_per_second carried too).
 //   * BM_CatalogTieredChurn    — hot budget ~1/8 of the fleet: every
 //     iteration promotes, evicts, and decompresses under the clock.
+//   * BM_CatalogPromote/R      — what one promoting request costs: a cold
+//     promote of an R-row file-backed filter, its first 512-key probe and
+//     the eviction it triggers, as per-request p50/p99 for 2 callers. R =
+//     4096 is the fleet's 22 KB blob (copy-loaded); R = 32768 is a 174 KB
+//     blob, above FilterCatalog::kCopyLoadBytes (mmap + alias load).
 //
 // `--json <path>` writes the same machine-readable rows perf_throughput
 // emits (bench_json.h); CI's bench-smoke runs this binary with scaled-down
@@ -33,6 +38,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -309,10 +315,10 @@ void BM_CatalogZipfLatency(benchmark::State& state) {
 BENCHMARK(BM_CatalogZipfLatency)->Unit(benchmark::kMillisecond);
 
 // Budget-constrained serving: the hot tier holds ~1/8 of the fleet, so the
-// Zipf tail constantly promotes (mmap + alias-load) and the clock
-// constantly evicts — the churn regime. Promotion/eviction counts ride
-// into the row; a collapse in keys/s here means the epoch machinery is
-// blocking readers.
+// Zipf tail constantly promotes (a copy-load below kCopyLoadBytes, else
+// mmap + alias-load) and the clock constantly evicts — the churn regime.
+// Promotion/eviction counts ride into the row; a collapse in keys/s here
+// means the epoch machinery is blocking readers.
 void BM_CatalogTieredChurn(benchmark::State& state) {
   const CatalogFixture& f = Fixture();
   CatalogOptions options;
@@ -329,6 +335,119 @@ void BM_CatalogTieredChurn(benchmark::State& state) {
   state.SetLabel("tiered-churn budget=1/8");
 }
 BENCHMARK(BM_CatalogTieredChurn)->Unit(benchmark::kMillisecond);
+
+// One R-row filter serialized to its own file for BM_CatalogPromote,
+// built once per R and removed at exit.
+struct PromoteFile {
+  std::string path;
+  size_t blob_bytes = 0;
+  ~PromoteFile() {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+  }
+};
+
+const PromoteFile& PromoteFileFor(size_t rows) {
+  static std::map<size_t, std::unique_ptr<PromoteFile>> files;
+  std::unique_ptr<PromoteFile>& file = files[rows];
+  if (file == nullptr) {
+    file = std::make_unique<PromoteFile>();
+    file->path = "perf_catalog_promote_" + std::to_string(rows) + ".ccf";
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> flat_attrs;
+    for (uint64_t k = 0; k < rows; ++k) {
+      keys.push_back(k);
+      flat_attrs.push_back(k % 997);
+      flat_attrs.push_back(k % 31);
+    }
+    auto ccf = ConditionalCuckooFilter::Make(CcfVariant::kChained,
+                                             CatalogFilterConfig(rows))
+                   .ValueOrDie();
+    ccf->InsertBatch(keys, flat_attrs).Abort();
+    std::string blob = ccf->Serialize();
+    file->blob_bytes = blob.size();
+    WriteFileBytes(file->path, blob).Abort();
+  }
+  return *file;
+}
+
+constexpr int kPromoteCallers = 2;
+constexpr size_t kPromoteIdsPerCaller = 4;
+constexpr size_t kPromoteRequestsPerCaller = 64;
+
+// Two callers each cycle through their own 4 entries (all backed by one
+// file) under a 1-byte hot budget, so every request finds its entry cold,
+// promotes it, probes it with 512 keys, and its budget sweep evicts what
+// is hot — the promoting-request path of the fleet, isolated from the
+// requests that hit. The callers resolve inline (batcher off).
+void BM_CatalogPromote(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const PromoteFile& file = PromoteFileFor(rows);
+  CatalogOptions options;
+  options.hot_budget_bytes = 1;
+  options.enable_batcher = false;
+  FilterCatalog catalog(options);
+  std::vector<std::string> ids;
+  for (size_t i = 0; i < kPromoteCallers * kPromoteIdsPerCaller; ++i) {
+    ids.push_back("p" + std::to_string(i));
+    catalog.AddFile(ids.back(), file.path).Abort();
+  }
+  const Predicate pred = Predicate::Equals(0, 123).AndEquals(1, 7);
+  std::vector<std::vector<double>> samples(kPromoteCallers);
+  for (auto _ : state) {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kPromoteCallers; ++c) {
+      callers.emplace_back([&, c] {
+        // Half the probe keys hit the filter's key range, half miss.
+        Rng rng(static_cast<uint64_t>(c) + 1);
+        std::vector<uint64_t> keys(kRequestKeys);
+        for (uint64_t& k : keys) k = rng.NextBelow(2 * rows);
+        std::unique_ptr<bool[]> out(new bool[kRequestKeys]);
+        for (size_t r = 0; r < kPromoteRequestsPerCaller; ++r) {
+          const std::string& id =
+              ids[static_cast<size_t>(c) * kPromoteIdsPerCaller +
+                  r % kPromoteIdsPerCaller];
+          const auto t0 = std::chrono::steady_clock::now();
+          catalog
+              .LookupBatch(id, keys, pred,
+                           std::span<bool>(out.get(), kRequestKeys))
+              .Abort();
+          const auto t1 = std::chrono::steady_clock::now();
+          benchmark::DoNotOptimize(out.get());
+          samples[static_cast<size_t>(c)].push_back(
+              std::chrono::duration<double, std::nano>(t1 - t0).count());
+        }
+      });
+    }
+    for (auto& c : callers) c.join();
+  }
+  std::vector<double> all;
+  for (const auto& s : samples) all.insert(all.end(), s.begin(), s.end());
+  const size_t requests = all.size();
+  state.SetItemsProcessed(static_cast<int64_t>(requests * kRequestKeys));
+  state.counters["p50_ns"] =
+      benchmark::Counter(bench::PercentileNs(all, 50.0));
+  state.counters["p99_ns"] =
+      benchmark::Counter(bench::PercentileNs(all, 99.0));
+  CatalogStats stats = catalog.stats();
+  // Both ratios should read 1: every request promotes, every promotion is
+  // evicted again.
+  state.counters["promotions_per_request"] = benchmark::Counter(
+      static_cast<double>(stats.promotions) / static_cast<double>(requests));
+  state.counters["evictions_per_request"] = benchmark::Counter(
+      static_cast<double>(stats.evictions) / static_cast<double>(requests));
+  state.counters["alias_loads"] =
+      benchmark::Counter(static_cast<double>(stats.alias_loads));
+  state.counters["blob_kb"] =
+      benchmark::Counter(static_cast<double>(file.blob_bytes) / 1024.0);
+  state.SetLabel("promote+probe+evict callers=2 rows=" +
+                 std::to_string(rows));
+}
+BENCHMARK(BM_CatalogPromote)
+    ->Arg(4096)
+    ->Arg(32768)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace ccf

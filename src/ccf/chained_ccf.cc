@@ -41,6 +41,10 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
   // One cursor per call, never member state: it is only sound while no
   // writer but this batch's wave 2 touches the table.
   ChainCursor cursor;
+  ChainSeeds seeds;
+  cursor.seeds = &seeds;
+  // Set by wave 2: the next wave-1 row starts a new block.
+  bool wave2_ran = false;
   // The (first-pair primary, fp) of the last row wave 1 found saturated
   // (>= max_dupes copies of fp), also per call. Copies of fp in a pair
   // never decrease during a batch — wave 1 only fills free slots, and a
@@ -59,8 +63,9 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
   // row extends the prefetch walk to that hop: a range build's η = 11
   // label rows with max_dupes = 3 prefetch hops 1-3, a key with fewer
   // copies fewer. The walk is a pure function of (primary, fp): it reads
-  // no table state, so it never goes stale. Off where the pair prefetches
-  // are (InsertPrefetches).
+  // no table state, so it never goes stale, and `seeds` keeps the pairs it
+  // produced for wave 2's cursor. Off where the pair prefetches are
+  // (InsertPrefetches).
   const bool prefetch = InsertPrefetches(table_->SizeInBits());
   std::optional<ChainWalk> hop_walk;
   int deferred_rows = 0;
@@ -71,6 +76,7 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
     if (hop <= hop_walk->hops()) return;
     hop_walk->Advance();
     const BucketPair& next = hop_walk->pair();
+    seeds.Append(next);
     table_->PrefetchBucketForInsert(next.primary);
     if (!next.degenerate()) table_->PrefetchBucketForInsert(next.alt);
   };
@@ -79,6 +85,10 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
       [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
           uint64_t payload) {
         cursor.Reset();
+        if (wave2_ran) {
+          seeds.NewBlock();
+          wave2_ran = false;
+        }
         if (have_saturated && pair.primary == saturated_primary &&
             fp == saturated_fp) {
           if (prefetch) prefetch_next_hop();
@@ -99,6 +109,7 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
               hop_walk.emplace(&hasher_, table_->bucket_mask(), pair.primary,
                                fp);
             }
+            seeds.Begin(pair.primary, fp);
             deferred_rows = 0;
             prefetch_next_hop();
           }
@@ -107,6 +118,7 @@ Status ChainedCcf::InsertBatch(std::span<const uint64_t> keys,
       },
       [&](const BucketPair& pair, uint32_t fp, std::span<const uint64_t> row,
           uint64_t payload) {
+        wave2_ran = true;
         return InsertThroughCursor(pair, fp, row, payload, &cursor);
       });
 }
@@ -122,14 +134,21 @@ void ChainedCcf::ExtendCursor(const BucketPair& first_pair,
                               ChainCursor* cursor) const {
   const size_t hop = cursor->hops.size();
   BucketPair pair = first_pair;
-  if (hop > 0) {
-    if (hop == 1) {
+  if (hop == 1 && cursor->seeds != nullptr) {
+    cursor->seed = cursor->seeds->Find(first_pair.primary, cursor->fp);
+  }
+  if (hop > 0 && hop <= cursor->seed.size()) {
+    pair = cursor->seed[hop - 1];
+  } else if (hop > 0) {
+    if (hop == cursor->seed.size() + 1) {
+      // The first hop past the seed: position the walk at hop - 1.
       if (cursor->walk) {
         cursor->walk->Restart(first_pair.primary, cursor->fp);
       } else {
         cursor->walk.emplace(&hasher_, table_->bucket_mask(),
                              first_pair.primary, cursor->fp);
       }
+      for (size_t h = 1; h < hop; ++h) cursor->walk->Advance();
     }
     cursor->walk->Advance();
     pair = cursor->walk->pair();
@@ -151,6 +170,37 @@ void ChainedCcf::ExtendCursor(const BucketPair& first_pair,
   });
   cursor->hops.push_back(ChainCursor::Hop{
       pair, pair.Canonical(table_->num_buckets()), count});
+}
+
+void ChainedCcf::ChainSeeds::Begin(uint64_t primary, uint32_t fp) {
+  chains_.push_back(Chain{primary, fp, pairs_.size(), 0});
+}
+
+void ChainedCcf::ChainSeeds::Append(const BucketPair& pair) {
+  pairs_.push_back(pair);
+  ++chains_.back().count;
+}
+
+void ChainedCcf::ChainSeeds::NewBlock() {
+  next_ = 0;
+  if (chains_.empty()) return;
+  Chain last = chains_.back();
+  pairs_.erase(pairs_.begin(),
+               pairs_.begin() + static_cast<std::ptrdiff_t>(last.begin));
+  last.begin = 0;
+  chains_.assign(1, last);
+}
+
+std::span<const BucketPair> ChainedCcf::ChainSeeds::Find(uint64_t primary,
+                                                         uint32_t fp) {
+  for (size_t i = next_; i < chains_.size(); ++i) {
+    if (chains_[i].primary == primary && chains_[i].fp == fp) {
+      next_ = i;
+      return std::span<const BucketPair>(pairs_).subspan(chains_[i].begin,
+                                                         chains_[i].count);
+    }
+  }
+  return {};
 }
 
 Status ChainedCcf::InsertThroughCursor(const BucketPair& first_pair,

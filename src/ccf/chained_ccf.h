@@ -6,7 +6,9 @@
 #define CCF_CCF_CHAINED_CCF_H_
 
 #include <memory>
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ccf/ccf_base.h"
@@ -88,6 +90,39 @@ class ChainedCcf : public CcfBase {
  private:
   ChainedCcf(CcfConfig config, BucketTable table);
 
+  /// Hops 1.. of the saturated chains InsertBatch's wave 1 met in the
+  /// current pipeline block, as its prefetch walk produced them. Wave 2's
+  /// cursor takes its hop pairs from here instead of hashing them again:
+  /// a chain walk is a pure function of (first-pair primary, fp), so the
+  /// pairs never go stale.
+  class ChainSeeds {
+   public:
+    // Out of line: the pipeline loop that calls them is flattened, and
+    // their vector code inlined into it grew the distinct-key insert loop
+    // by 13%.
+    /// Starts the record of a chain wave 1 has just found saturated.
+    [[gnu::noinline]] void Begin(uint64_t primary, uint32_t fp);
+    /// Appends the next hop of the chain last passed to Begin.
+    [[gnu::noinline]] void Append(const BucketPair& pair);
+    /// Drops every chain but the last (the one wave 1 may still extend).
+    [[gnu::noinline]] void NewBlock();
+    /// The recorded hops of (primary, fp), or empty. Wave 2 meets chains
+    /// in the order wave 1 recorded them, so the search starts at the
+    /// previous match.
+    std::span<const BucketPair> Find(uint64_t primary, uint32_t fp);
+
+   private:
+    struct Chain {
+      uint64_t primary;
+      uint32_t fp;
+      size_t begin;  // into pairs_
+      size_t count;
+    };
+    std::vector<Chain> chains_;
+    std::vector<BucketPair> pairs_;
+    size_t next_ = 0;
+  };
+
   /// The hops of one chain — a (first-pair primary, fp) — walked so far,
   /// each with its fp-copy count and, on packed geometries, the payload
   /// words of those copies. Rows of the same chain check duplicates and
@@ -113,10 +148,17 @@ class ChainedCcf : public CcfBase {
     /// Hop h's copies: words[h * stride, h * stride + count), stride = the
     /// pair's slot count (packed geometries only).
     std::vector<uint64_t> words;
-    /// Positioned at hops.back() once the chain has left its first pair.
+    /// Where hop 1 looks up already-walked pairs; null on the scalar path.
+    ChainSeeds* seeds = nullptr;
+    /// Hops 1..seed.size() of this chain, taken from `seeds` at hop 1.
+    std::span<const BucketPair> seed;
+    /// Positioned at hops.back() once the chain has walked past `seed`.
     std::optional<ChainWalk> walk;
 
-    void Reset() { hops.clear(); }
+    void Reset() {
+      hops.clear();
+      seed = {};
+    }
   };
 
   /// TryInsertNoKick, also reporting why a row was deferred: *saturated is

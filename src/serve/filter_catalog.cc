@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "ccf/compressed_ccf.h"
@@ -30,6 +32,14 @@ bool PredicatesEqual(const Predicate* a, const Predicate* b) {
     if (ta[i].values != tb[i].values) return false;
   }
   return true;
+}
+
+/// True when the file at `path` is below the copy-load cut. A file that
+/// cannot be stat'ed takes the mmap path, which reports the error.
+bool CopyLoadable(const std::string& path) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  return !ec && size < FilterCatalog::kCopyLoadBytes;
 }
 
 }  // namespace
@@ -103,7 +113,17 @@ Status FilterCatalog::AddFilter(
 Result<const ConditionalCuckooFilter*> FilterCatalog::PromoteLocked(
     Entry& e) {
   std::unique_ptr<ConditionalCuckooFilter> filter;
-  if (!e.path.empty()) {
+  if (e.path.empty()) {
+    if (e.cold_blob.empty()) {
+      return Status::Invalid("catalog entry has no cold form: " + e.id);
+    }
+    CCF_ASSIGN_OR_RETURN(filter, DecodeFilterBlob(e.cold_blob));
+  } else if (CopyLoadable(e.path)) {
+    // The hot filter owns heap memory: promotion maps nothing, and its
+    // eviction frees memory instead of unmapping.
+    CCF_ASSIGN_OR_RETURN(std::string blob, ReadFileBytes(e.path));
+    CCF_ASSIGN_OR_RETURN(filter, ConditionalCuckooFilter::Deserialize(blob));
+  } else {
     CCF_ASSIGN_OR_RETURN(MappedFile mf, MmapFileBytes(e.path));
     auto mapping = std::make_shared<MappedFile>(std::move(mf));
     std::string_view view = mapping->view();
@@ -115,11 +135,6 @@ Result<const ConditionalCuckooFilter*> FilterCatalog::PromoteLocked(
     CCF_ASSIGN_OR_RETURN(filter,
                          ConditionalCuckooFilter::Deserialize(view, alias));
     num_alias_loads_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    if (e.cold_blob.empty()) {
-      return Status::Invalid("catalog entry has no cold form: " + e.id);
-    }
-    CCF_ASSIGN_OR_RETURN(filter, DecodeFilterBlob(e.cold_blob));
   }
   const ConditionalCuckooFilter* raw = filter.get();
   e.hot_bytes = static_cast<size_t>(filter->SizeInBits() / 8);
@@ -160,11 +175,11 @@ Status FilterCatalog::PrepareDemotionLocked(Entry& e,
   if (sharded != nullptr) {
     // Staged rows live only in the write-buffer overlay and Serialize()
     // captures committed tables, so a memory-backed demotion must commit
-    // first or the re-promoted filter would answer false negatives.
-    // File-backed entries reload from the file on re-promotion (documented
-    // lossy), so flushing buys nothing there. New stages can't race in:
-    // catalog writers go through InsertBatch, which takes e.mu.
-    if (e.path.empty() && sharded->pending_writes() > 0) {
+    // first or the re-promoted filter would answer false negatives. (A
+    // file-backed entry has nothing staged: the first write clears its
+    // path.) New stages can't race in: catalog writers go through
+    // InsertBatch, which takes e.mu.
+    if (sharded->pending_writes() > 0) {
       CCF_RETURN_NOT_OK(sharded->CommitWrites());
     }
     // Quiesce watermark resizes the commit may have scheduled so the
@@ -322,25 +337,29 @@ Status FilterCatalog::InsertBatch(const std::string& id,
       // and staged as one atomically-published group per row. A plain-
       // inner RangeCcf falls through to the clone path below (its Clone
       // and InsertBatch carry the expansion).
-      return range->BufferWriteBatch(keys, attrs);
-    }
-    if (auto* sharded = dynamic_cast<ShardedCcf*>(cur)) {
+      CCF_RETURN_NOT_OK(range->BufferWriteBatch(keys, attrs));
+    } else if (auto* sharded = dynamic_cast<ShardedCcf*>(cur)) {
       // Sharded filters are live-writable while serving: stage through the
       // write-buffer overlay (autocommit options fold the commits in).
-      return sharded->BufferWriteBatch(keys, attrs);
+      CCF_RETURN_NOT_OK(sharded->BufferWriteBatch(keys, attrs));
+    } else {
+      // Clone shares the table snapshot; the first insert copy-on-writes
+      // it (EnsureTableUnique), so an alias-loaded mapping is never written
+      // through and concurrent readers keep probing the old epoch.
+      CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> next,
+                           cur->Clone());
+      CCF_RETURN_NOT_OK(next->InsertBatch(keys, attrs));
+      size_t new_bytes = static_cast<size_t>(next->SizeInBits() / 8);
+      hot_bytes_.fetch_add(new_bytes, std::memory_order_relaxed);
+      hot_bytes_.fetch_sub(e->hot_bytes, std::memory_order_relaxed);
+      e->hot_bytes = new_bytes;
+      e->live.Publish(std::move(next));
+      grew = true;
     }
-    // Clone shares the table snapshot; the first insert copy-on-writes it
-    // (EnsureTableUnique), so an alias-loaded mapping is never written
-    // through and concurrent readers keep probing the old epoch.
-    CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> next,
-                         cur->Clone());
-    CCF_RETURN_NOT_OK(next->InsertBatch(keys, attrs));
-    size_t new_bytes = static_cast<size_t>(next->SizeInBits() / 8);
-    hot_bytes_.fetch_add(new_bytes, std::memory_order_relaxed);
-    hot_bytes_.fetch_sub(e->hot_bytes, std::memory_order_relaxed);
-    e->hot_bytes = new_bytes;
-    e->live.Publish(std::move(next));
-    grew = true;
+    // The hot filter now holds rows its file lacks: from here on the
+    // entry is memory-backed, so eviction re-encodes its current state
+    // instead of dropping the write.
+    e->path.clear();
     return Status::OK();
   }();
   // A write-side promotion or clone-grown publish can push the fleet over
@@ -360,13 +379,21 @@ Status FilterCatalog::Evict(const std::string& id) {
   }
   ConditionalCuckooFilter* cur = e->live.writable();
   if (cur == nullptr) return Status::OK();  // already cold
-  CCF_RETURN_NOT_OK(PrepareDemotionLocked(*e, cur));
-  if (e->path.empty()) {
-    e->cold_blob = EncodeFilterBlob(*cur);
+  return DemoteLocked(*e, cur);
+}
+
+Status FilterCatalog::DemoteLocked(Entry& e, ConditionalCuckooFilter* cur) {
+  CCF_RETURN_NOT_OK(PrepareDemotionLocked(e, cur));
+  if (e.path.empty()) {
+    // Memory-backed: capture the CURRENT state (mutations included) in
+    // compressed form. File-backed entries reload from the file.
+    e.cold_blob = EncodeFilterBlob(*cur);
   }
-  e->live.Publish(nullptr);
-  hot_bytes_.fetch_sub(e->hot_bytes, std::memory_order_relaxed);
-  e->hot_bytes = 0;
+  // Publish(nullptr) retires the filter into the epoch domain: pinned
+  // readers mid-probe keep a valid table until they unpin.
+  e.live.Publish(nullptr);
+  hot_bytes_.fetch_sub(e.hot_bytes, std::memory_order_relaxed);
+  e.hot_bytes = 0;
   num_evictions_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -399,20 +426,9 @@ void FilterCatalog::EnforceBudget() {
     if (!vlock.owns_lock()) continue;
     ConditionalCuckooFilter* cur = victim->live.writable();
     if (cur == nullptr) continue;  // lost a race with Evict
-    // Commit staged sharded rows and reconcile size accounting; a failed
-    // commit means demotion would drop rows, so the victim stays hot.
-    if (!PrepareDemotionLocked(*victim, cur).ok()) continue;
-    if (victim->path.empty()) {
-      // Memory-backed: capture the CURRENT state (mutations included) in
-      // compressed form. File-backed entries reload from the file.
-      victim->cold_blob = EncodeFilterBlob(*cur);
-    }
-    // Publish(nullptr) retires the filter into the epoch domain: pinned
-    // readers mid-probe keep a valid table until they unpin.
-    victim->live.Publish(nullptr);
-    hot_bytes_.fetch_sub(victim->hot_bytes, std::memory_order_relaxed);
-    victim->hot_bytes = 0;
-    num_evictions_.fetch_add(1, std::memory_order_relaxed);
+    // A failed staged-row commit leaves the victim hot (see
+    // PrepareDemotionLocked); the sweep moves on.
+    (void)DemoteLocked(*victim, cur);
   }
 }
 

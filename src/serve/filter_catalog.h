@@ -7,12 +7,15 @@
 //
 // Three mechanisms make the fleet cheap:
 //
-//   * Zero-copy opens. File-backed entries are promoted by mmap'ing the
-//     serialized blob and alias-deserializing it (the loaded BucketTable's
-//     bit arrays point INTO the read-only mapping), so opening a 100 MB
-//     filter costs a page-table setup, not a copy — and untouched filters
-//     cost no RSS at all. Mutations copy-on-write at the BitVector layer;
-//     the mapping is never written through.
+//   * Zero-copy opens of large files. A file-backed blob at or above
+//     FilterCatalog::kCopyLoadBytes is promoted by mmap'ing it and alias-
+//     deserializing it (the loaded BucketTable's bit arrays point INTO the
+//     read-only mapping), so opening a 100 MB filter costs a page-table
+//     setup, not a copy, and untouched pages cost no RSS. Mutations
+//     copy-on-write at the BitVector layer; the mapping is never written
+//     through. A smaller blob is read and copy-deserialized instead: for
+//     it, the two mmaps, the madvise and the munmap at eviction cost more
+//     than the copy.
 //
 //   * Hot/cold tiering. Memory-backed entries demote to a zero-run
 //     compressed blob (ccf/compress.h) under a configurable hot budget;
@@ -80,6 +83,7 @@ struct CatalogOptions {
 struct CatalogStats {
   uint64_t promotions = 0;
   uint64_t evictions = 0;
+  /// Promotions that mapped their file (blobs of at least kCopyLoadBytes).
   uint64_t alias_loads = 0;
   uint64_t batched_requests = 0;
   uint64_t inline_requests = 0;
@@ -93,23 +97,36 @@ struct CatalogStats {
 /// Entries are never removed (the id set is monotonic), which is what
 /// lets lookups hold bare Entry pointers across the map lock.
 ///
-/// File-backed entries are served read-only: an eviction drops the
-/// mapping, and a re-promotion reloads the FILE, so mutations applied to
-/// a file-backed entry (InsertBatch) survive only until its eviction.
-/// Memory-backed entries re-compress their CURRENT state on eviction —
-/// rows still staged in a sharded entry's write buffer are committed
-/// first (an entry whose commit fails stays hot) — so their mutations are
-/// durable across tier transitions.
+/// An unwritten file-backed entry's eviction just drops its hot filter,
+/// and re-promotion reloads the FILE. The first successful InsertBatch
+/// turns a file-backed entry into a memory-backed one, and memory-backed
+/// entries re-compress their CURRENT state on eviction — rows still
+/// staged in a sharded entry's write buffer are committed first (an entry
+/// whose commit fails stays hot) — so every acknowledged write survives
+/// tier transitions. The file itself is never written.
 class FilterCatalog {
  public:
+  /// File-backed blobs below this size promote by ReadFileBytes plus a
+  /// copy-mode Deserialize; larger ones by MmapFileBytes plus an alias
+  /// load. A fixed cut, not an option, set from perf_catalog's
+  /// BM_CatalogPromote row (promote + first 512-key probe + eviction, 2
+  /// callers, p50) with the catalog forced onto each path in turn, on a
+  /// 4-core VM: copy 44-54 vs mmap 75-82 us at a 22 KB blob, 66-75 vs
+  /// 81-83 us at 87 KB, even at 174 KB (78-85 vs 76-82 us, but a p99 of
+  /// 200-206 vs 154-167 us), and 238-240 vs 102-122 us at 696 KB; a
+  /// later round on the then slower host kept the crossover between 87
+  /// and 174 KB. Far below the 2 MiB at which a copy-loaded BitVector
+  /// would itself be mmap-backed.
+  static constexpr uint64_t kCopyLoadBytes = uint64_t{128} << 10;
+
   explicit FilterCatalog(CatalogOptions options = {});
   ~FilterCatalog();
 
   FilterCatalog(const FilterCatalog&) = delete;
   FilterCatalog& operator=(const FilterCatalog&) = delete;
 
-  /// Registers a file-backed entry (cold; first access mmaps + alias-
-  /// deserializes it). The file must outlive the catalog. Invalid on a
+  /// Registers a file-backed entry (cold; first access loads it, see
+  /// kCopyLoadBytes). The file must outlive the catalog. Invalid on a
   /// duplicate id; the path is not touched until first access.
   Status AddFile(const std::string& id, const std::string& path);
 
@@ -154,7 +171,8 @@ class FilterCatalog {
   /// ShardedCcfOptions autocommit for bursty writers); plain variants
   /// insert into a copy-on-write clone and epoch-publish it. Alias-loaded
   /// tables are unshared before the first write — the backing mapping is
-  /// never touched.
+  /// never touched. Success makes a file-backed entry memory-backed, so
+  /// the write survives eviction.
   Status InsertBatch(const std::string& id, std::span<const uint64_t> keys,
                      std::span<const uint64_t> attrs);
 
@@ -180,7 +198,8 @@ class FilterCatalog {
     /// The hot filter, or null while cold. Readers Load under an epoch
     /// pin; transitions Publish under `mu`.
     TableHandle<ConditionalCuckooFilter> live;
-    /// Non-empty => file-backed (promotion mmaps + alias-loads the path).
+    /// Non-empty => file-backed: promotion loads the path. Cleared by the
+    /// first successful write (guarded by mu).
     std::string path;
     /// Compressed at-rest form of a memory-backed entry (guarded by mu;
     /// meaningful while cold or as the demotion target).
@@ -223,6 +242,10 @@ class FilterCatalog {
   /// On failure the entry must stay hot — its staged rows are still only
   /// in the overlay.
   Status PrepareDemotionLocked(Entry& e, ConditionalCuckooFilter* cur);
+  /// Makes hot entry `e` cold; caller holds e.mu and `cur` is its hot
+  /// filter. A memory-backed entry re-encodes `cur` as its cold blob. On
+  /// a PrepareDemotionLocked failure the entry stays hot.
+  Status DemoteLocked(Entry& e, ConditionalCuckooFilter* cur);
   /// Clock eviction until hot_bytes_ is back under the budget.
   void EnforceBudget();
 

@@ -42,6 +42,10 @@ namespace ccf {
 /// trailing zero guard page; an 8-aligned heap buffer must be allocated
 /// with >= 8 bytes of readable slack after the blob, or an out-of-bounds
 /// read (UB, ASan report) can result.
+///
+/// FilterCatalog alias-loads only file-backed blobs of at least
+/// FilterCatalog::kCopyLoadBytes, from an MmapFileBytes mapping; smaller
+/// files are copy-loaded.
 struct AliasMapping {
   std::shared_ptr<const void> keepalive;
 };

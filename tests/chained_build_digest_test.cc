@@ -9,7 +9,8 @@
 //
 // The cases target the duplicate-key chaining paths:
 //  * a RangeCcf anchor over synthetic IMDB title rows (η = 11 label rows
-//    per key: the chain-join build);
+//    per key: the chain-join build), below and past the insert prefetch
+//    gate;
 //  * 4-bit key fingerprints on a 64-bucket table, so chains of different
 //    keys share pairs, ChainWalk exhausts its cycle-extension rounds and
 //    revisits pairs, and exact-duplicate rows share a batch;
@@ -103,9 +104,11 @@ Rows TitleRows(const ImdbDataset& dataset, int* range_attr) {
 }
 
 // The anchor geometry of RunMultiJoinChain: 4 slots, 12-bit key and
-// attribute fingerprints, ≤ 0.5 load at η = 11 entries per row.
-uint64_t RangeAnchorDigest(uint64_t seed) {
-  ImdbDataset dataset = GenerateImdb(1.0 / 1024, seed).ValueOrDie();
+// attribute fingerprints, ≤ 0.5 load at η = 11 entries per row. Reports
+// the table size through `table_bytes` when non-null.
+uint64_t RangeAnchorDigest(uint64_t seed, double scale = 1.0 / 1024,
+                           uint64_t* table_bytes = nullptr) {
+  ImdbDataset dataset = GenerateImdb(scale, seed).ValueOrDie();
   int range_attr = -1;
   Rows rows = TitleRows(dataset, &range_attr);
   EXPECT_GE(range_attr, 0);
@@ -125,6 +128,7 @@ uint64_t RangeAnchorDigest(uint64_t seed) {
   EXPECT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
   EXPECT_EQ(filter->num_rows(), rows.keys.size());
   ExpectAllRowsPresent(*filter, rows);
+  if (table_bytes != nullptr) *table_bytes = filter->SizeInBits() / 8;
   return Digest(filter->Serialize());
 }
 
@@ -135,6 +139,16 @@ TEST(ChainedBuildDigestTest, RangeAnchorOverImdbTitle) {
     EXPECT_EQ(Hex(RangeAnchorDigest(seed)), Hex(kPinned[seed - 1]))
         << "seed " << seed;
   }
+}
+
+// The chain-join scale puts the anchor table past the insert prefetch
+// gate, where wave 1 walks saturated chains ahead and wave 2's cursor
+// takes those hops from it instead of walking them again.
+TEST(ChainedBuildDigestTest, RangeAnchorPastPrefetchGate) {
+  uint64_t table_bytes = 0;
+  EXPECT_EQ(Hex(RangeAnchorDigest(1, 1.0 / 128, &table_bytes)),
+            Hex(0x8bb96b54b0595c9eull));
+  EXPECT_TRUE(InsertPrefetches(table_bytes * 8)) << table_bytes;
 }
 
 // --- Case 2: 4-bit fingerprints on a 64-bucket table -------------------------

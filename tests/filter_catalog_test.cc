@@ -1,6 +1,9 @@
 // FilterCatalog serving tier: alias-mode (zero-copy mmap) deserialization
-// is bit-identical to copy mode on every variant, mutation after an
-// alias load copy-on-writes and never touches the mapping, promote/evict
+// is bit-identical to copy mode on every variant, small file-backed blobs
+// promote by copy-load with identical answers and large ones by mmap,
+// corrupt files leave their entry cold, writes to file-backed entries
+// survive eviction, mutation after an alias load copy-on-writes and never
+// touches the mapping, promote/evict
 // churn under concurrent readers never produces a false negative, the
 // cross-request batcher is differentially byte-equal to the inline path,
 // and ShardedCcf's size/age auto-commit folds staged rows in the
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "ccf/ccf.h"
+#include "ccf/range_ccf.h"
 #include "ccf/sharded_ccf.h"
 #include "util/file_io.h"
 #include "util/random.h"
@@ -161,6 +165,258 @@ TEST(FilterCatalogShardedAliasTest, ShardedAliasBitIdentical) {
   Predicate pred = Predicate::Equals(0, 42);
   EXPECT_EQ(Probe(*aliased, probes, pred), Probe(*copied, probes, pred));
   std::remove(path.c_str());
+}
+
+// Catalog answers for `probes` under every predicate in `preds`, then
+// key-only: the observable state of one catalog entry.
+std::vector<bool> CatalogAnswers(FilterCatalog& catalog, const std::string& id,
+                                 const std::vector<uint64_t>& probes,
+                                 const std::vector<Predicate>& preds) {
+  std::vector<bool> all;
+  std::unique_ptr<bool[]> out(new bool[probes.size()]());
+  std::span<bool> out_span(out.get(), probes.size());
+  for (const Predicate& pred : preds) {
+    EXPECT_TRUE(catalog.LookupBatch(id, probes, pred, out_span).ok());
+    all.insert(all.end(), out.get(), out.get() + probes.size());
+  }
+  EXPECT_TRUE(catalog.ContainsKeyBatch(id, probes, out_span).ok());
+  all.insert(all.end(), out.get(), out.get() + probes.size());
+  return all;
+}
+
+// The same answers from a filter object.
+std::vector<bool> FilterAnswers(const ConditionalCuckooFilter& f,
+                                const std::vector<uint64_t>& probes,
+                                const std::vector<Predicate>& preds) {
+  std::vector<bool> all;
+  for (const Predicate& pred : preds) {
+    std::vector<bool> part = Probe(f, probes, pred);
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  std::unique_ptr<bool[]> out(new bool[probes.size()]());
+  f.ContainsKeyBatch(probes, std::span<bool>(out.get(), probes.size()));
+  all.insert(all.end(), out.get(), out.get() + probes.size());
+  return all;
+}
+
+std::vector<uint64_t> ProbeKeys(uint64_t bound, uint64_t seed) {
+  std::vector<uint64_t> probes;
+  Rng rng(seed);
+  for (int i = 0; i < 4000; ++i) probes.push_back(rng.NextBelow(bound));
+  return probes;
+}
+
+const std::vector<Predicate>& TestPredicates() {
+  static const std::vector<Predicate> preds = {
+      Predicate::Equals(0, 5), Predicate::Equals(0, 100),
+      Predicate::Equals(0, 42).AndEquals(1, 7)};
+  return preds;
+}
+
+// Registers `blob` as a file-backed entry, promotes it through the
+// catalog and checks every answer against a copy-mode load of the same
+// bytes. Returns the catalog's stats after the probes.
+CatalogStats ExpectFileEntryMatchesCopyLoad(const std::string& blob,
+                                            const std::string& name) {
+  std::string path = TempPath("ccf_catalog_" + name + ".bin");
+  EXPECT_TRUE(WriteFileBytes(path, blob).ok());
+  auto copied = ConditionalCuckooFilter::Deserialize(blob).ValueOrDie();
+  CatalogOptions options;
+  options.enable_batcher = false;
+  FilterCatalog catalog(options);
+  EXPECT_TRUE(catalog.AddFile("f", path).ok());
+  std::vector<uint64_t> probes = ProbeKeys(8000, 11);
+  EXPECT_EQ(CatalogAnswers(catalog, "f", probes, TestPredicates()),
+            FilterAnswers(*copied, probes, TestPredicates()));
+  EXPECT_EQ(catalog.hot_bytes(),
+            static_cast<size_t>(copied->SizeInBits() / 8));
+  std::remove(path.c_str());
+  return catalog.stats();
+}
+
+class FilterCatalogCopyLoadTest
+    : public ::testing::TestWithParam<CcfVariant> {};
+
+// A small file-backed blob promotes by read + copy-load: answers equal a
+// copy-mode Deserialize of the same bytes, and nothing is mapped.
+TEST_P(FilterCatalogCopyLoadTest, SmallFilePromotionMatchesCopyLoad) {
+  Rows rows = MakeRows(6000, 7);
+  std::string blob = BuildFilter(GetParam(), rows, 31)->Serialize();
+  ASSERT_LT(blob.size(), FilterCatalog::kCopyLoadBytes);
+  CatalogStats stats = ExpectFileEntryMatchesCopyLoad(
+      blob, "copy_" + std::string(CcfVariantName(GetParam())));
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.alias_loads, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, FilterCatalogCopyLoadTest,
+                         ::testing::Values(CcfVariant::kPlain,
+                                           CcfVariant::kChained,
+                                           CcfVariant::kBloom,
+                                           CcfVariant::kMixed));
+
+TEST(FilterCatalogCopyLoadShardedTest, SmallShardedFileMatchesCopyLoad) {
+  Rows rows = MakeRows(12000, 23);
+  ShardedCcfOptions opts;
+  opts.num_shards = 4;
+  auto sharded =
+      ShardedCcf::Make(CcfVariant::kChained, TestConfig(47), opts)
+          .ValueOrDie();
+  ASSERT_TRUE(sharded->InsertParallel(rows.keys, rows.flat_attrs).ok());
+  std::string blob = sharded->Serialize();
+  ASSERT_LT(blob.size(), FilterCatalog::kCopyLoadBytes);
+  CatalogStats stats = ExpectFileEntryMatchesCopyLoad(blob, "copy_sharded");
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.alias_loads, 0u);
+}
+
+TEST(FilterCatalogCopyLoadRangeTest, SmallRangeFileMatchesCopyLoad) {
+  Rows rows = MakeRows(1500, 29);
+  CcfConfig config = TestConfig(53);  // η = 4 labels per row: ~0.5 load
+  auto range = RangeCcf::Make(CcfVariant::kChained, config,
+                              /*range_attr_index=*/1, /*max_level=*/3)
+                   .ValueOrDie();
+  ASSERT_TRUE(range->InsertBatch(rows.keys, rows.flat_attrs).ok());
+  std::string blob = range->Serialize();
+  ASSERT_LT(blob.size(), FilterCatalog::kCopyLoadBytes);
+  std::string path = TempPath("ccf_catalog_copy_range.bin");
+  ASSERT_TRUE(WriteFileBytes(path, blob).ok());
+  auto copied = ConditionalCuckooFilter::Deserialize(blob).ValueOrDie();
+  const auto* copied_range = dynamic_cast<const RangeCcf*>(copied.get());
+  ASSERT_NE(copied_range, nullptr);
+
+  FilterCatalog catalog{CatalogOptions{}};
+  ASSERT_TRUE(catalog.AddFile("r", path).ok());
+  std::vector<uint64_t> probes = ProbeKeys(2000, 5);
+  std::unique_ptr<bool[]> got(new bool[probes.size()]());
+  std::unique_ptr<bool[]> want(new bool[probes.size()]());
+  for (auto [lo, hi] : {std::pair<uint64_t, uint64_t>{0, 9}, {10, 30},
+                        {7, 7}, {0, 49}}) {
+    ASSERT_TRUE(catalog
+                    .LookupRangeBatch("r", probes, lo, hi, Predicate(),
+                                      std::span<bool>(got.get(),
+                                                      probes.size()))
+                    .ok());
+    CompiledRangePredicate pred =
+        copied_range->CompileRange(lo, hi).ValueOrDie();
+    ASSERT_TRUE(copied_range
+                    ->ContainsInRangeBatch(
+                        probes, pred,
+                        std::span<bool>(want.get(), probes.size()))
+                    .ok());
+    EXPECT_TRUE(std::equal(got.get(), got.get() + probes.size(),
+                           want.get()))
+        << "range [" << lo << ", " << hi << "]";
+  }
+  EXPECT_EQ(catalog.stats().promotions, 1u);
+  EXPECT_EQ(catalog.stats().alias_loads, 0u);
+  std::remove(path.c_str());
+}
+
+// A blob of exactly kCopyLoadBytes takes the mmap + alias path; one byte
+// less is copy-loaded. Trailing bytes past a blob are ignored by
+// Deserialize, so zero padding sets the file size exactly.
+TEST(FilterCatalogCutTest, BlobAtTheCutIsMapped) {
+  Rows rows = MakeRows(3000, 31);
+  std::string blob =
+      BuildFilter(CcfVariant::kChained, rows, 37)->Serialize();
+  ASSERT_LT(blob.size(), FilterCatalog::kCopyLoadBytes - 1);
+  std::string at_cut = blob;
+  at_cut.resize(FilterCatalog::kCopyLoadBytes, '\0');
+  std::string below_cut = blob;
+  below_cut.resize(FilterCatalog::kCopyLoadBytes - 1, '\0');
+
+  CatalogStats mapped = ExpectFileEntryMatchesCopyLoad(at_cut, "at_cut");
+  EXPECT_EQ(mapped.promotions, 1u);
+  EXPECT_EQ(mapped.alias_loads, 1u);
+  CatalogStats copied =
+      ExpectFileEntryMatchesCopyLoad(below_cut, "below_cut");
+  EXPECT_EQ(copied.promotions, 1u);
+  EXPECT_EQ(copied.alias_loads, 0u);
+}
+
+// A truncated or corrupt small file fails its lookup with an error Status
+// and leaves the entry cold; once the file is repaired the same entry
+// promotes normally.
+TEST(FilterCatalogBadFileTest, BadSmallFileLeavesEntryCold) {
+  Rows rows = MakeRows(3000, 41);
+  std::string blob =
+      BuildFilter(CcfVariant::kChained, rows, 43)->Serialize();
+  std::string bad_magic = blob;
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"empty", std::string()},
+      {"header_only", blob.substr(0, 16)},
+      {"truncated", blob.substr(0, blob.size() / 2)},
+      {"one_short", blob.substr(0, blob.size() - 1)},
+      {"bad_magic", bad_magic},
+  };
+  std::vector<uint64_t> keys(rows.keys.begin(), rows.keys.begin() + 512);
+  std::unique_ptr<bool[]> out(new bool[keys.size()]());
+  std::span<bool> out_span(out.get(), keys.size());
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    std::string path = TempPath("ccf_catalog_bad_" + name + ".bin");
+    ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
+    FilterCatalog catalog{CatalogOptions{}};
+    ASSERT_TRUE(catalog.AddFile("f", path).ok());
+    EXPECT_FALSE(catalog.ContainsKeyBatch("f", keys, out_span).ok());
+    EXPECT_FALSE(
+        catalog.InsertBatch("f", rows.keys, rows.flat_attrs).ok());
+    EXPECT_EQ(catalog.stats().promotions, 0u);
+    EXPECT_EQ(catalog.hot_bytes(), 0u);
+
+    ASSERT_TRUE(WriteFileBytes(path, blob).ok());
+    ASSERT_TRUE(catalog.ContainsKeyBatch("f", keys, out_span).ok());
+    for (size_t i = 0; i < keys.size(); ++i) EXPECT_TRUE(out[i]);
+    EXPECT_EQ(catalog.stats().promotions, 1u);
+    std::remove(path.c_str());
+  }
+}
+
+// A write acknowledged on a file-backed entry must survive the entry's
+// eviction: the write makes the entry memory-backed, so demotion encodes
+// the written state instead of falling back to the unchanged file.
+TEST(FilterCatalogInsertTest, WriteToFileBackedEntrySurvivesEviction) {
+  Rows rows = MakeRows(3000, 47);
+  ShardedCcfOptions opts;
+  opts.num_shards = 2;
+  auto sharded =
+      ShardedCcf::Make(CcfVariant::kChained, TestConfig(61), opts)
+          .ValueOrDie();
+  ASSERT_TRUE(sharded->InsertParallel(rows.keys, rows.flat_attrs).ok());
+  const std::vector<std::pair<std::string, std::string>> blobs = {
+      {"chained",
+       BuildFilter(CcfVariant::kChained, rows, 59)->Serialize()},
+      {"sharded", sharded->Serialize()},
+  };
+  Rows extra = MakeRows(600, 97, /*key_base=*/uint64_t{1} << 24);
+  for (const auto& [name, blob] : blobs) {
+    SCOPED_TRACE(name);
+    std::string path = TempPath("ccf_catalog_write_" + name + ".bin");
+    ASSERT_TRUE(WriteFileBytes(path, blob).ok());
+    FilterCatalog catalog{CatalogOptions{}};
+    ASSERT_TRUE(catalog.AddFile("f", path).ok());
+    ASSERT_TRUE(catalog.InsertBatch("f", extra.keys, extra.flat_attrs).ok());
+    ASSERT_TRUE(catalog.Evict("f").ok());
+    ASSERT_EQ(catalog.hot_bytes(), 0u);
+
+    for (const Rows* r : {&extra, &rows}) {
+      std::unique_ptr<bool[]> out(new bool[r->keys.size()]());
+      ASSERT_TRUE(catalog
+                      .ContainsKeyBatch("f", r->keys,
+                                        std::span<bool>(out.get(),
+                                                        r->keys.size()))
+                      .ok());
+      size_t missing = 0;
+      for (size_t i = 0; i < r->keys.size(); ++i) missing += out[i] ? 0 : 1;
+      EXPECT_EQ(missing, 0u);
+    }
+    EXPECT_EQ(catalog.stats().promotions, 2u);
+    // The file is never written.
+    EXPECT_EQ(ReadFileBytes(path).ValueOrDie(), blob);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(FilterCatalogCowTest, MutationAfterAliasLoadNeverTouchesMapping) {
