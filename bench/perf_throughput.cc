@@ -825,8 +825,8 @@ BENCHMARK(BM_ShardedParallelBuild)->Arg(1)->Arg(2)->Arg(4)
 
 // Multi-caller sharded serving: T caller threads concurrently issue
 // 2048-key LookupBatch sub-batches over disjoint slices of the shared
-// probe stream against ONE sharded filter — the thread-per-core serving
-// shape the NUMA work targets. Epoch pins make concurrent readers safe;
+// probe stream against ONE sharded filter — the many-caller serving
+// shape. Epoch pins make concurrent readers safe;
 // keys/s is aggregate across callers (UseRealTime) and p99_ns is the 99th
 // percentile sub-batch latency pooled over every caller, so tail
 // inflation from cross-thread interference is visible next to the

@@ -64,15 +64,6 @@ struct CcfConfig {
   uint64_t salt = 0;
   /// MaxKicks for cuckoo displacement.
   int max_kicks = 500;
-  /// When true (the default) every scalar Insert runs the variant's full
-  /// addressed insertion (Algorithm 3/4: dedupe, kicks, chain walk,
-  /// conversion), which pins row-at-a-time builds bit-for-bit
-  /// (`ccf_joblight --build scalar` relies on it). false first tries the
-  /// batched build's displacement-free wave-1 placement on each row (one
-  /// word compare per duplicate, one PutSlot field store) and falls back
-  /// to the full insertion only when that cannot settle the row.
-  /// Build-time knob; not serialized.
-  bool reproducible_scalar = true;
 };
 
 /// Hard cap on chain walks when max_chain is 0 ("unbounded").

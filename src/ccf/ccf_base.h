@@ -445,19 +445,6 @@ class CcfBase : public ConditionalCuckooFilter {
     }
   }
 
-  /// Packed-compare scalar Insert fast path: reuses the variant's
-  /// displacement-free wave-1 placement (single-word dupe compare + PutSlot
-  /// free-slot store) for row-at-a-time writers. Gated off by
-  /// config.reproducible_scalar (the default), under which every scalar row
-  /// runs the full InsertAddressed, so `ccf_joblight --build scalar`
-  /// outputs stay bit-identical unless a caller opts in. Returns true when
-  /// the row was fully handled.
-  bool ScalarInsertFast(const BucketPair& pair, uint32_t fp,
-                        std::span<const uint64_t> attrs) {
-    if (config_.reproducible_scalar) return false;
-    return TryInsertNoKick(pair, fp, attrs, PackRowPayload(attrs));
-  }
-
   CcfConfig config_;
   /// The shared immutable table snapshot (never null). Mutating paths go
   /// through EnsureTableUnique() first; read paths may bind `*table_` once

@@ -27,11 +27,6 @@ Status ChainedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
   uint32_t fp;
   KeyAddress(key, &bucket, &fp);
   BucketPair pair = PairOf(bucket, fp);
-  // Packed-compare scalar fast path (opt-in via
-  // CcfConfig::reproducible_scalar = false); falls through to the full
-  // addressed insertion when displacement or chain/conversion work is
-  // needed.
-  if (ScalarInsertFast(pair, fp, attrs)) return Status::OK();
   return InsertAddressed(pair, fp, attrs);
 }
 

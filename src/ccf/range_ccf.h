@@ -14,8 +14,8 @@
 //     two-pass radix-clustered, prefetched batch pipeline — bit-identical
 //     to a scalar ContainsInRange loop.
 //   * Sharding + live writes: MakeSharded wraps a ShardedCcf, so range
-//     filters inherit epoch-protected snapshot reads, NUMA routing, and
-//     the write-buffer overlay. BufferWrite stages a row's η dyadic
+//     filters inherit epoch-protected snapshot reads and the write-buffer
+//     overlay. BufferWrite stages a row's η dyadic
 //     labels as ONE atomically-published group — no reader can observe a
 //     partial level set, so staged rows never produce range-query false
 //     negatives.
@@ -81,8 +81,8 @@ class RangeCcf final : public ConditionalCuckooFilter {
                                                 int range_attr_index,
                                                 int max_level);
 
-  /// Sharded inner filter: epoch-protected reads, live writes through the
-  /// staged overlay, NUMA routing — the serving-tier configuration.
+  /// Sharded inner filter: epoch-protected reads and live writes through
+  /// the staged overlay — the serving-tier configuration.
   /// `config.num_buckets` is the total budget (ShardedCcf::Make semantics).
   static Result<std::unique_ptr<RangeCcf>> MakeSharded(
       CcfVariant variant, const CcfConfig& config, int range_attr_index,

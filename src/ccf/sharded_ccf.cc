@@ -148,47 +148,35 @@ Status AggregateShardStatus(std::span<const Status> shard_status) {
 
 ShardedCcf::ShardedCcf(
     std::vector<std::unique_ptr<ConditionalCuckooFilter>> shards,
-    ShardedCcfOptions options, std::shared_ptr<const NumaTopology> topo,
-    bool numa_active)
+    ShardedCcfOptions options)
     : options_(options),
-      topo_(std::move(topo)),
-      numa_active_(numa_active),
       shard_config_(shards[0]->config()),
       variant_(shards[0]->variant()),
       shard_mask_(shards.size() - 1),
       shard_hasher_(shards[0]->config().salt ^ kShardSaltMix) {
-  // One epoch domain per node keeps reader pin/unpin traffic node-local;
-  // shards are assigned round-robin so every node serves an equal slice.
-  const size_t num_domains =
-      numa_active_ ? static_cast<size_t>(std::max(1, topo_->num_nodes)) : 1;
-  domains_.reserve(num_domains);
-  for (size_t n = 0; n < num_domains; ++n) {
-    domains_.push_back(std::make_unique<EpochDomain>());
-  }
   shards_.reserve(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    const int node = static_cast<int>(s % num_domains);
-    shards_.push_back(std::make_unique<Shard>(
-        domains_[static_cast<size_t>(node)].get(), std::move(shards[s]),
-        node));
-  }
-  if (numa_active_ && options_.lookup_workers_per_node > 0 &&
-      domains_.size() > 1) {
-    StartWorkers();
+  for (auto& shard : shards) {
+    shards_.push_back(std::make_unique<Shard>(&domain_, std::move(shard)));
   }
 }
 
 ShardedCcf::~ShardedCcf() {
-  // Teardown order (see the header): workers first (they dereference task
-  // state and shard snapshots), then every in-flight watermark resize —
-  // those futures capture `this` and take shard locks, so they must be
-  // reaped BEFORE any per-node domain (or shard) dies — and only then the
-  // domains' deferred hooks, while the shards (whose spare slots the
-  // write-buffer recycle hooks touch) are still alive. domains_ itself is
-  // declared first, so destroyed last.
-  StopWorkers();
+  // Teardown order (see the header): every in-flight watermark resize and
+  // autocommit first — those futures capture `this` and take shard locks,
+  // so they must be reaped BEFORE the domain (or a shard) dies — and only
+  // then the domain's deferred hooks, while the shards (whose spare slots
+  // the write-buffer recycle hooks touch) are still alive. domain_ itself
+  // is declared first, so destroyed last.
   DrainMaintenance();
-  for (auto& domain : domains_) domain->Synchronize();
+  domain_.Synchronize();
+}
+
+int ShardedCcf::WorkerThreads(int requested, int build_threads,
+                              size_t num_shards, unsigned hardware_threads) {
+  int threads = requested > 0 ? requested : build_threads;
+  if (threads <= 0) threads = static_cast<int>(num_shards);
+  const int hardware = static_cast<int>(std::max(1u, hardware_threads));
+  return std::min({threads, static_cast<int>(num_shards), hardware});
 }
 
 Result<std::unique_ptr<ShardedCcf>> ShardedCcf::Make(
@@ -206,23 +194,9 @@ Result<std::unique_ptr<ShardedCcf>> ShardedCcf::Make(
   if (options.compact_watermark >= 1.0) {
     return Status::Invalid("compact_watermark must be < 1 (<= 0 disables)");
   }
-  if (options.lookup_workers_per_node < 0 ||
-      options.lookup_workers_per_node > 64) {
-    return Status::Invalid("lookup_workers_per_node must be in [0, 64]");
-  }
   ShardedCcfOptions opts = options;
   opts.num_shards = static_cast<int>(
       NextPowerOfTwo(static_cast<uint64_t>(options.num_shards)));
-
-  // Resolve the NUMA policy against the process topology ONCE, here: kAuto
-  // activates placement only when the machine actually has multiple nodes,
-  // so single-node boxes (and CCF_NUMA=off runs) take exactly the
-  // pre-NUMA construction path.
-  std::shared_ptr<const NumaTopology> topo = SystemTopology();
-  const bool numa_active =
-      opts.numa_policy == NumaPolicy::kForce ||
-      (opts.numa_policy == NumaPolicy::kAuto && topo->num_nodes > 1);
-  const int num_domains = numa_active ? std::max(1, topo->num_nodes) : 1;
 
   CcfConfig shard_config = config;
   shard_config.num_buckets =
@@ -231,15 +205,11 @@ Result<std::unique_ptr<ShardedCcf>> ShardedCcf::Make(
   std::vector<std::unique_ptr<ConditionalCuckooFilter>> shards;
   shards.reserve(static_cast<size_t>(opts.num_shards));
   for (int i = 0; i < opts.num_shards; ++i) {
-    // Bind each shard's table pages to its (round-robin) node before first
-    // touch — the same assignment the ShardedCcf constructor makes.
-    ScopedNumaAllocNode alloc_scope(numa_active ? i % num_domains : -1);
     CCF_ASSIGN_OR_RETURN(std::unique_ptr<ConditionalCuckooFilter> shard,
                          ConditionalCuckooFilter::Make(variant, shard_config));
     shards.push_back(std::move(shard));
   }
-  return std::unique_ptr<ShardedCcf>(new ShardedCcf(
-      std::move(shards), opts, std::move(topo), numa_active));
+  return std::unique_ptr<ShardedCcf>(new ShardedCcf(std::move(shards), opts));
 }
 
 Status ShardedCcf::Insert(uint64_t key, std::span<const uint64_t> attrs) {
@@ -315,9 +285,8 @@ void ShardedCcf::RetireBuffer(Shard& shard, WriteBuffer* old) {
   if (old == nullptr) return;
   // Not a plain delete: once no reader can hold the block, stash it in the
   // shard's single recycle slot so steady-state staging reuses the
-  // allocation (util/epoch.h's generalized retire hook). Retired into the
-  // SHARD'S domain — the one every reader of this shard pins.
-  shard.handle.domain()->RetireHook([&shard, old] {
+  // allocation (util/epoch.h's generalized retire hook).
+  domain_.RetireHook([&shard, old] {
     WriteBuffer* prev = shard.spare.exchange(old, std::memory_order_acq_rel);
     delete prev;
   });
@@ -479,9 +448,6 @@ Status ShardedCcf::BufferUpdate(uint64_t key,
 }
 
 Status ShardedCcf::CommitShardLocked(size_t s, Shard& shard) {
-  // The clone's copy-on-write unshare below allocates the replacement
-  // table: bind those pages to the shard's node.
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   WriteBuffer* pending = shard.pending.load(std::memory_order_relaxed);
   size_t n = pending ? pending->size_unsync() : 0;
   if (n == 0) return Status::OK();
@@ -552,7 +518,6 @@ Status ShardedCcf::CommitShardLocked(size_t s, Shard& shard) {
 }
 
 Status ShardedCcf::CommitShardCrudLocked(size_t s, Shard& shard) {
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   WriteBuffer* pending = shard.pending.load(std::memory_order_relaxed);
   const size_t n = pending->size_unsync();
   const size_t num_attrs = static_cast<size_t>(config().num_attrs);
@@ -741,46 +706,15 @@ void ShardedCcf::ForEachShardParallel(
     for (size_t s = 0; s < num_shards; ++s) work(s);
     return;
   }
-  const size_t num_nodes = domains_.size();
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
-  // Declared at function scope: the pinned workers read it until join().
-  std::vector<std::vector<size_t>> node_shards(num_nodes);
-  if (numa_active_ && num_nodes > 1 &&
-      threads >= static_cast<int>(num_nodes)) {
-    // Node-major: worker t serves node t % num_nodes, pinned to that
-    // node's cpus, and stripes over ITS node's shards only — every shard
-    // mutation (and the mbind'ed allocations inside it) runs on the node
-    // that owns the shard's pages. threads >= num_nodes guarantees each
-    // node gets at least one worker, so every shard is covered.
-    for (size_t s = 0; s < num_shards; ++s) {
-      node_shards[static_cast<size_t>(shards_[s]->node)].push_back(s);
-    }
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        const size_t node = static_cast<size_t>(t) % num_nodes;
-        // Workers on the same node stripe its shard list; `offset` is this
-        // worker's rank among them and `stride` their count.
-        const size_t offset = static_cast<size_t>(t) / num_nodes;
-        const size_t stride =
-            (static_cast<size_t>(threads) - node - 1) / num_nodes + 1;
-        PinThreadToNode(*topo_, static_cast<int>(node)).ok();
-        for (size_t i = offset; i < node_shards[node].size(); i += stride) {
-          work(node_shards[node][i]);
-        }
-      });
-    }
-  } else {
-    // Plain modular striping (single node, inactive policy, or too few
-    // threads to cover every node with a pinned worker).
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (size_t s = static_cast<size_t>(t); s < num_shards;
-             s += static_cast<size_t>(threads)) {
-          work(s);
-        }
-      });
-    }
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t s = static_cast<size_t>(t); s < num_shards;
+           s += static_cast<size_t>(threads)) {
+        work(s);
+      }
+    });
   }
   for (auto& w : workers) w.join();
 }
@@ -794,15 +728,14 @@ Status ShardedCcf::CommitWrites(int num_threads) {
   // thread, exactly the historical behavior.
   size_t nonempty = 0;
   {
-    std::vector<EpochDomain::Guard> guards = PinAll();
+    EpochDomain::Guard guard = domain_.Pin();
     for (const auto& s : shards_) {
       const WriteBuffer* p = s->pending.load(std::memory_order_seq_cst);
       if (p != nullptr && p->size() > 0) ++nonempty;
     }
   }
-  int threads = num_threads > 0 ? num_threads : options_.build_threads;
-  if (threads <= 0) threads = static_cast<int>(num_shards);
-  threads = std::min<int>(threads, static_cast<int>(num_shards));
+  int threads = WorkerThreads(num_threads, options_.build_threads, num_shards,
+                              std::thread::hardware_concurrency());
   if (nonempty <= 1) threads = 1;
   ForEachShardParallel(threads, [&](size_t s) {
     Shard& shard = *shards_[s];
@@ -817,7 +750,7 @@ std::future<Status> ShardedCcf::CommitWritesAsync() {
 }
 
 uint64_t ShardedCcf::pending_writes() const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   uint64_t n = 0;
   for (const auto& s : shards_) {
     const WriteBuffer* p = s->pending.load(std::memory_order_seq_cst);
@@ -856,11 +789,7 @@ void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
   maintenance_.push_back(std::async(std::launch::async, [this, s] {
     // The doubling rebuild itself: runs on this background thread, takes
     // the shard's writer mutex (so it serializes AFTER the commit that
-    // scheduled it releases the lock), publishes via epoch swap. Pinned to
-    // the shard's node so the rebuilt table faults in node-local
-    // (best-effort; the alloc-scope mbind inside the rebuild is the
-    // stronger guarantee).
-    if (numa_active_) PinThreadToNode(*topo_, shards_[s]->node).ok();
+    // scheduled it releases the lock), publishes via epoch swap.
     Status st = ResizeShard(static_cast<int>(s));
     if (st.ok()) {
       num_watermark_resizes_.fetch_add(1, std::memory_order_relaxed);
@@ -907,7 +836,6 @@ void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
     // rows stay query-visible the whole time, so a failed background
     // commit only means the overlay stays long until the next trigger or
     // an explicit CommitWrites.
-    if (numa_active_) PinThreadToNode(*topo_, shards_[s]->node).ok();
     Shard& shard = *shards_[s];
     Status st;
     {
@@ -980,10 +908,8 @@ Status ShardedCcf::InsertParallel(std::span<const uint64_t> keys,
     if (fill_memo) shard_pos[s].push_back(i);
   }
 
-  int threads = num_threads > 0 ? num_threads : options_.build_threads;
-  if (threads <= 0) threads = static_cast<int>(num_shards);
-  threads = std::min<int>(threads, static_cast<int>(num_shards));
-
+  int threads = WorkerThreads(num_threads, options_.build_threads, num_shards,
+                              std::thread::hardware_concurrency());
   std::vector<Status> shard_status(num_shards);
   ForEachShardParallel(threads, [&](size_t s) {
     Shard& shard = *shards_[s];
@@ -1042,10 +968,6 @@ Status ShardedCcf::ResizeShardLocked(Shard& shard, uint64_t new_num_buckets) {
         "ShardedCcf: deserialized filters retain no row log; online resize "
         "is unavailable");
   }
-  // The replacement table's pages bind to the shard's node regardless of
-  // which thread runs the rebuild (caller, async resize, or watermark
-  // maintenance).
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   ConditionalCuckooFilter* cur = shard.handle.writable();
   CcfConfig cfg = cur->config();
   cfg.num_buckets =
@@ -1107,7 +1029,6 @@ Status ShardedCcf::CompactShardLocked(Shard& shard) {
         "ShardedCcf: deserialized filters retain no row log; compaction is "
         "unavailable");
   }
-  ScopedNumaAllocNode alloc_scope(AllocNode(shard));
   ConditionalCuckooFilter* cur = shard.handle.writable();
   const size_t num_attrs = static_cast<size_t>(config().num_attrs);
   std::vector<uint64_t> live_keys, live_attrs, live_memo;
@@ -1209,26 +1130,15 @@ Status ShardedCcf::ResizeShard(int shard, uint64_t new_num_buckets) {
 std::future<Status> ShardedCcf::ResizeShardAsync(int shard,
                                                  uint64_t new_num_buckets) {
   return std::async(std::launch::async, [this, shard, new_num_buckets] {
-    if (numa_active_ && shard >= 0 && shard < num_shards()) {
-      PinThreadToNode(*topo_, shards_[static_cast<size_t>(shard)]->node).ok();
-    }
     return ResizeShard(shard, new_num_buckets);
   });
 }
 
-std::vector<EpochDomain::Guard> ShardedCcf::PinAll() const {
-  std::vector<EpochDomain::Guard> guards;
-  guards.reserve(domains_.size());
-  for (const auto& domain : domains_) guards.push_back(domain->Pin());
-  return guards;
-}
-
 std::vector<const CcfBase*> ShardedCcf::LoadBases(
-    const std::vector<EpochDomain::Guard>& guards) const {
+    const EpochDomain::Guard& guard) const {
   std::vector<const CcfBase*> bases(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    bases[s] = static_cast<const CcfBase*>(shards_[s]->handle.Load(
-        guards[static_cast<size_t>(shards_[s]->node)]));
+    bases[s] = static_cast<const CcfBase*>(shards_[s]->handle.Load(guard));
   }
   return bases;
 }
@@ -1282,44 +1192,6 @@ bool ShardedCcf::ResolveKeyWithOps(const CcfBase* base,
               : base->ContainsKeyAddressedExcluding(bucket, fp, excluded);
 }
 
-// --- Node-routed broadcast lookups (the SPSC handoff path) ------------------
-
-/// One shard-group resolution job. Lives on the CALLER'S stack for the
-/// duration of the broadcast (the caller spins on `remaining` before
-/// returning), so rings carry plain pointers and nothing is allocated on
-/// the handoff path. The caller's epoch pins cover the workers: a worker
-/// only dereferences snapshot/overlay pointers the caller loaded under its
-/// own PinAll guards, and the caller cannot drop those guards until every
-/// task completes.
-struct ShardedCcf::LookupTask {
-  const ShardedCcf* self;
-  const CcfBase* const* bases;          // indexed by shard
-  const WriteBuffer* const* overlays;   // indexed by shard
-  const std::vector<std::vector<uint64_t>>* shard_keys;
-  const std::vector<std::vector<size_t>>* shard_pos;
-  const Predicate* pred;  // null = key-only
-  bool* out;
-  /// The shard indices this task resolves (all on the worker's node).
-  std::vector<uint32_t> shards;
-  /// Per-shard status slots (disjoint writes; aggregated by the caller
-  /// after the wait).
-  Status* shard_status;
-  /// Completion: the worker fetch_sub(release)s once the task's every
-  /// shard (and status slot) is written; the caller acquire-spins to zero,
-  /// which makes those writes visible before it reads them.
-  std::atomic<uint32_t>* remaining;
-};
-
-/// A node's lookup worker: SPSC ring + the producer-side mutex that folds
-/// many querying threads into the ring's single-producer contract + the
-/// pinned thread.
-struct ShardedCcf::NodeWorker {
-  explicit NodeWorker(size_t ring_capacity) : ring(ring_capacity) {}
-  SpscRing<LookupTask*> ring;
-  std::mutex producer_mu;
-  std::thread thread;
-};
-
 Status ShardedCcf::ResolveShardBroadcast(const CcfBase* base,
                                          const WriteBuffer* overlay,
                                          std::span<const uint64_t> keys,
@@ -1355,169 +1227,9 @@ Status ShardedCcf::ResolveShardBroadcast(const CcfBase* base,
   return Status::OK();
 }
 
-Status ShardedCcf::RoutedBroadcast(std::span<const CcfBase* const> bases,
-                                   std::span<const WriteBuffer* const> overlays,
-                                   std::span<const uint64_t> keys,
-                                   const Predicate* pred, bool* out) const {
-  const size_t num_shards = shards_.size();
-  const size_t num_nodes = domains_.size();
-  const int wpn = options_.lookup_workers_per_node;
-
-  // Gather keys per shard (same L1-resident pass as the sync route), then
-  // group the non-empty shards by owning node.
-  std::vector<std::vector<uint64_t>> shard_keys(num_shards);
-  std::vector<std::vector<size_t>> shard_pos(num_shards);
-  size_t expect = keys.size() / num_shards + 16;
-  for (auto& v : shard_keys) v.reserve(expect);
-  for (auto& v : shard_pos) v.reserve(expect);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    size_t s = ShardOf(keys[i]);
-    shard_keys[s].push_back(keys[i]);
-    shard_pos[s].push_back(i);
-  }
-  std::vector<std::vector<uint32_t>> node_shards(num_nodes);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (shard_keys[s].empty()) continue;
-    node_shards[static_cast<size_t>(shards_[s]->node)].push_back(
-        static_cast<uint32_t>(s));
-  }
-
-  // The caller keeps its own node's shards (no handoff beats any handoff
-  // for node-local work) plus anything that cannot ship below.
-  const size_t caller_node = static_cast<size_t>(std::min(
-      CurrentNode(*topo_), static_cast<int>(num_nodes) - 1));
-  std::vector<uint32_t> inline_shards = node_shards[caller_node];
-
-  std::vector<Status> shard_status(num_shards);
-  std::atomic<uint32_t> remaining{0};
-
-  // One task per (remote node, worker) slice, built COMPLETELY before the
-  // first push — tasks live in this vector and rings hold pointers into
-  // it, so no reallocation may follow a push.
-  std::vector<LookupTask> tasks;
-  std::vector<NodeWorker*> task_worker;
-  tasks.reserve(num_nodes * static_cast<size_t>(wpn));
-  task_worker.reserve(num_nodes * static_cast<size_t>(wpn));
-  for (size_t node = 0; node < num_nodes; ++node) {
-    if (node == caller_node || node_shards[node].empty()) continue;
-    for (int w = 0; w < wpn; ++w) {
-      // Worker w takes shards w, w+wpn, ... of its node's group.
-      std::vector<uint32_t> slice;
-      for (size_t i = static_cast<size_t>(w); i < node_shards[node].size();
-           i += static_cast<size_t>(wpn)) {
-        slice.push_back(node_shards[node][i]);
-      }
-      if (slice.empty()) continue;
-      tasks.push_back(LookupTask{this, bases.data(), overlays.data(),
-                                 &shard_keys, &shard_pos, pred, out,
-                                 std::move(slice), shard_status.data(),
-                                 &remaining});
-      task_worker.push_back(
-          workers_[node * static_cast<size_t>(wpn) + static_cast<size_t>(w)]
-              .get());
-    }
-  }
-
-  // Ship the tasks; a full ring (or any push failure) degrades that task
-  // to inline resolution — backpressure never blocks the caller.
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    remaining.fetch_add(1, std::memory_order_relaxed);
-    bool pushed;
-    {
-      std::lock_guard<std::mutex> lock(task_worker[t]->producer_mu);
-      pushed = task_worker[t]->ring.TryPush(&tasks[t]);
-    }
-    if (!pushed) {
-      remaining.fetch_sub(1, std::memory_order_relaxed);
-      inline_shards.insert(inline_shards.end(), tasks[t].shards.begin(),
-                           tasks[t].shards.end());
-    }
-  }
-
-  // Resolve the caller's share while the workers run theirs.
-  for (uint32_t s : inline_shards) {
-    shard_status[s] = ResolveShardBroadcast(bases[s], overlays[s],
-                                            shard_keys[s], shard_pos[s],
-                                            pred, out);
-  }
-
-  // Wait for the shipped tasks; the acquire pairs with each worker's
-  // release fetch_sub, publishing its out/status writes.
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-
-  return AggregateShardStatus(shard_status);
-}
-
-void ShardedCcf::StartWorkers() {
-  const int wpn = options_.lookup_workers_per_node;
-  const size_t num_nodes = domains_.size();
-  workers_.reserve(num_nodes * static_cast<size_t>(wpn));
-  // All rings exist before any thread starts, so a racing RoutedBroadcast
-  // can never index a half-built worker table. Ring capacity bounds
-  // outstanding tasks per worker; overflow degrades to inline resolution.
-  for (size_t node = 0; node < num_nodes; ++node) {
-    for (int w = 0; w < wpn; ++w) {
-      workers_.push_back(std::make_unique<NodeWorker>(/*ring_capacity=*/64));
-    }
-  }
-  for (size_t node = 0; node < num_nodes; ++node) {
-    for (int w = 0; w < wpn; ++w) {
-      NodeWorker* worker =
-          workers_[node * static_cast<size_t>(wpn) + static_cast<size_t>(w)]
-              .get();
-      worker->thread = std::thread(
-          [this, node, worker] { WorkerLoop(static_cast<int>(node), worker); });
-    }
-  }
-}
-
-void ShardedCcf::StopWorkers() {
-  if (workers_.empty()) return;
-  workers_stop_.store(true, std::memory_order_release);
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-  workers_.clear();
-}
-
-void ShardedCcf::WorkerLoop(int node, NodeWorker* worker) {
-  PinThreadToNode(*topo_, node).ok();
-  int idle = 0;
-  for (;;) {
-    LookupTask* task = nullptr;
-    if (worker->ring.TryPop(&task)) {
-      idle = 0;
-      for (uint32_t s : task->shards) {
-        task->shard_status[s] = ResolveShardBroadcast(
-            task->bases[s], task->overlays[s], (*task->shard_keys)[s],
-            (*task->shard_pos)[s], task->pred, task->out);
-      }
-      // Release-publish every out/status write of this task, then signal.
-      task->remaining->fetch_sub(1, std::memory_order_release);
-      continue;
-    }
-    // Drain-then-stop: the stop flag is only honored on an EMPTY ring, so
-    // every pushed task is resolved before the thread exits (the caller of
-    // a task is spinning on its completion counter).
-    if (workers_stop_.load(std::memory_order_acquire)) return;
-    ++idle;
-    if (idle < 64) {
-      // brief spin: another task in the same batch is likely in flight
-    } else if (idle < 1024) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-}
-
 bool ShardedCcf::ContainsKey(uint64_t key) const {
   const Shard& shard = *shards_[ShardOf(key)];
-  // Scalar reads pin only the target shard's domain — under the NUMA
-  // policy that keeps the pin/unpin cache traffic on the shard's node.
-  EpochDomain::Guard guard = shard.handle.domain()->Pin();
+  EpochDomain::Guard guard = domain_.Pin();
   // Staged-but-uncommitted rows answer through the exact overlay, so a
   // BufferWrite is visible the moment it returns (Insert→Contains holds
   // across the whole write cycle). Load order is the REVERSE of the
@@ -1541,7 +1253,7 @@ bool ShardedCcf::ContainsKey(uint64_t key) const {
 
 bool ShardedCcf::Contains(uint64_t key, const Predicate& pred) const {
   const Shard& shard = *shards_[ShardOf(key)];
-  EpochDomain::Guard guard = shard.handle.domain()->Pin();
+  EpochDomain::Guard guard = domain_.Pin();
   // Overlay pointer loaded before the table pointer — see ContainsKey.
   const WriteBuffer* p = shard.pending.load(std::memory_order_seq_cst);
   const auto* base =
@@ -1559,28 +1271,22 @@ Status ShardedCcf::LookupBatch(std::span<const uint64_t> keys,
   CCF_RETURN_NOT_OK(
       ValidateLookupBatchShape(keys.size(), preds.size(), out.size()));
 
-  // One pin per domain + one snapshot load per shard for the WHOLE batch:
-  // the loaded pointers stay valid until the guards die, however many
-  // resizes publish in the meantime. The pending overlays are bound the
-  // same way (one load per shard; rows staged after the load surface in
-  // the next batch) and MUST be loaded before the table snapshots — the
-  // reverse of the writer's publish-table-then-drop-overlay commit order —
-  // so a batch straddling a commit finds each row in the overlay or the
-  // table, never neither (see ContainsKey).
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  // One pin + one snapshot load per shard for the WHOLE batch: the loaded
+  // pointers stay valid until the guard dies, however many resizes publish
+  // in the meantime. The pending overlays are bound the same way (one load
+  // per shard; rows staged after the load surface in the next batch) and
+  // MUST be loaded before the table snapshots — the reverse of the writer's
+  // publish-table-then-drop-overlay commit order — so a batch straddling a
+  // commit finds each row in the overlay or the table, never neither (see
+  // ContainsKey).
+  EpochDomain::Guard guard = domain_.Pin();
   std::vector<const WriteBuffer*> overlays = LoadOverlays();
-  std::vector<const CcfBase*> bases = LoadBases(guards);
+  std::vector<const CcfBase*> bases = LoadBases(guard);
 
   if (preds.size() == 1) {
-    // Broadcast: with node workers running, ship each remote node's shard
-    // groups over the SPSC rings; otherwise gather keys per shard and
-    // delegate to each shard's own batch hot path (which prefetches and
-    // compiles the predicate once) on this thread, then scatter the
-    // answers back. Both routes resolve through ResolveShardBroadcast, so
-    // they are bit-identical.
-    if (!workers_.empty()) {
-      return RoutedBroadcast(bases, overlays, keys, &preds[0], out.data());
-    }
+    // Broadcast: gather keys per shard and delegate to each shard's own
+    // batch hot path (which prefetches and compiles the predicate once),
+    // then scatter the answers back.
     std::vector<std::vector<uint64_t>> shard_keys(shards_.size());
     std::vector<std::vector<size_t>> shard_pos(shards_.size());
     size_t expect = keys.size() / shards_.size() + 16;
@@ -1619,16 +1325,10 @@ Status ShardedCcf::LookupBatch(std::span<const uint64_t> keys,
 void ShardedCcf::ContainsKeyBatch(std::span<const uint64_t> keys,
                                   std::span<bool> out) const {
   CCF_DCHECK(out.size() == keys.size());
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   // Overlays before tables — the commit-straddling order (see ContainsKey).
   std::vector<const WriteBuffer*> overlays = LoadOverlays();
-  std::vector<const CcfBase*> bases = LoadBases(guards);
-  if (!workers_.empty()) {
-    // Node-routed resolution (bit-identical; see LookupBatch). Key-only
-    // probes produce no per-shard Status, so the aggregate is always OK.
-    RoutedBroadcast(bases, overlays, keys, nullptr, out.data()).ok();
-    return;
-  }
+  std::vector<const CcfBase*> bases = LoadBases(guard);
   ShardedTwoPass(*this, bases, keys,
                  [&](size_t i, size_t s, uint64_t bucket, uint32_t fp) {
                    const WriteBuffer* overlay = overlays[s];
@@ -1645,14 +1345,12 @@ void ShardedCcf::ContainsKeyBatch(std::span<const uint64_t> keys,
 
 Result<std::unique_ptr<KeyFilter>> ShardedCcf::PredicateQuery(
     const Predicate& pred) const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   std::vector<std::unique_ptr<KeyFilter>> derived;
   derived.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    CCF_ASSIGN_OR_RETURN(
-        std::unique_ptr<KeyFilter> kf,
-        shard->handle.Load(guards[static_cast<size_t>(shard->node)])
-            ->PredicateQuery(pred));
+    CCF_ASSIGN_OR_RETURN(std::unique_ptr<KeyFilter> kf,
+                         shard->handle.Load(guard)->PredicateQuery(pred));
     derived.push_back(std::move(kf));
   }
   return std::unique_ptr<KeyFilter>(new ShardedKeyFilter(
@@ -1660,11 +1358,10 @@ Result<std::unique_ptr<KeyFilter>> ShardedCcf::PredicateQuery(
 }
 
 uint64_t ShardedCcf::SizeInBits() const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   uint64_t bits = 0;
   for (const auto& s : shards_) {
-    bits +=
-        s->handle.Load(guards[static_cast<size_t>(s->node)])->SizeInBits();
+    bits += s->handle.Load(guard)->SizeInBits();
   }
   return bits;
 }
@@ -1672,11 +1369,10 @@ uint64_t ShardedCcf::SizeInBits() const {
 double ShardedCcf::LoadFactor() const {
   // Shards may diverge in geometry after per-shard resizes, so weight by
   // slot count (identical to the shard mean while geometry is uniform).
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   uint64_t occupied = 0, slots = 0;
   for (const auto& s : shards_) {
-    const auto* base = static_cast<const CcfBase*>(
-        s->handle.Load(guards[static_cast<size_t>(s->node)]));
+    const auto* base = static_cast<const CcfBase*>(s->handle.Load(guard));
     occupied += base->num_entries();
     slots += base->table().num_slots();
   }
@@ -1686,25 +1382,25 @@ double ShardedCcf::LoadFactor() const {
 }
 
 uint64_t ShardedCcf::num_entries() const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   uint64_t n = 0;
   for (const auto& s : shards_) {
-    n += s->handle.Load(guards[static_cast<size_t>(s->node)])->num_entries();
+    n += s->handle.Load(guard)->num_entries();
   }
   return n;
 }
 
 uint64_t ShardedCcf::num_rows() const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   uint64_t n = 0;
   for (const auto& s : shards_) {
-    n += s->handle.Load(guards[static_cast<size_t>(s->node)])->num_rows();
+    n += s->handle.Load(guard)->num_rows();
   }
   return n;
 }
 
 std::string ShardedCcf::Serialize() const {
-  std::vector<EpochDomain::Guard> guards = PinAll();
+  EpochDomain::Guard guard = domain_.Pin();
   std::string out;
   ByteWriter writer(&out);
   writer.WriteU32(kShardedMagic);
@@ -1715,8 +1411,7 @@ std::string ShardedCcf::Serialize() const {
     // 8-byte length prefix — inner word arrays then stay aligned from the
     // CONTAINER start, which is what alias-mode loads check.
     writer.AlignTo(8);
-    writer.WriteBytes(
-        s->handle.Load(guards[static_cast<size_t>(s->node)])->Serialize());
+    writer.WriteBytes(s->handle.Load(guard)->Serialize());
   }
   return out;
 }
@@ -1778,15 +1473,8 @@ Result<std::unique_ptr<ConditionalCuckooFilter>> ShardedCcf::Deserialize(
   ShardedCcfOptions opts;
   opts.num_shards = static_cast<int>(num_shards);
   opts.build_threads = static_cast<int>(build_threads);
-  // Deserialized tables were loaded wherever the reader ran, so page
-  // binding is moot — but per-node epoch domains and node-pinned workers
-  // still apply under an active policy.
-  std::shared_ptr<const NumaTopology> topo = SystemTopology();
-  const bool numa_active =
-      opts.numa_policy == NumaPolicy::kForce ||
-      (opts.numa_policy == NumaPolicy::kAuto && topo->num_nodes > 1);
-  auto sharded = std::unique_ptr<ShardedCcf>(new ShardedCcf(
-      std::move(shards), opts, std::move(topo), numa_active));
+  auto sharded =
+      std::unique_ptr<ShardedCcf>(new ShardedCcf(std::move(shards), opts));
   // Serialized blobs carry tables, not rows: the restored filter serves and
   // accepts writes but cannot rebuild a shard from a log it never had.
   sharded->resizable_ = false;

@@ -26,20 +26,6 @@
 //     above the watermark schedules a background doubling resize BEFORE any
 //     insert fails, keeping CapacityError-triggered rebuilds off the tail
 //     latency path.
-//   * NUMA/thread-per-core mode (ShardedCcfOptions::numa_policy, default
-//     auto): on a multi-node machine shards are assigned round-robin to
-//     nodes, each shard's table pages are bound to its node at allocation
-//     (util/topology.h ScopedNumaAllocNode through BitVector), the build /
-//     resize / commit worker threads are pinned to their shard's node, and
-//     reader pin/unpin runs against one EpochDomain PER NODE so epoch
-//     traffic never crosses the interconnect. With lookup workers enabled
-//     (lookup_workers_per_node > 0), batched lookups additionally hand each
-//     remote node's shard groups to node-pinned worker threads over bounded
-//     SPSC rings — the caller resolves only its own node's shards — with a
-//     synchronous same-thread fallback when workers are off or a ring is
-//     full. Every mode is bit-identical to the single-domain path; on a
-//     single-node machine (or under CCF_NUMA=off) the policy degrades to
-//     exactly the previous behavior.
 //   * Resizes never block readers: ResizeShard rebuilds ONE shard at the new
 //     geometry from the shard's retained row log (re-placing rows from the
 //     hash memo, not re-hashing) and publishes the replacement via an atomic
@@ -71,29 +57,16 @@
 #include "ccf/ccf.h"
 #include "ccf/ccf_base.h"
 #include "util/epoch.h"
-#include "util/spsc_ring.h"
-#include "util/topology.h"
 
 namespace ccf {
-
-/// NUMA placement policy for ShardedCcf.
-enum class NumaPolicy {
-  /// Node-aware placement when the machine exposes more than one NUMA node
-  /// (CCF_NUMA=off collapses the topology to one node, disabling it).
-  kAuto,
-  /// Single-domain behavior on any machine — exactly the pre-NUMA paths.
-  kOff,
-  /// Apply the policy even when the topology reports one node, and honor
-  /// test-injected topologies (SetTopologyForTesting) as if real. Tests
-  /// and benchmarks only.
-  kForce,
-};
 
 /// Sharding parameters.
 struct ShardedCcfOptions {
   /// Number of shards (rounded up to a power of two).
   int num_shards = 4;
-  /// Threads used by InsertParallel; 0 means one per shard.
+  /// Threads used by InsertParallel and the striped CommitWrites; 0 means
+  /// one per shard. Either way the count is capped at the shard count and
+  /// at std::thread::hardware_concurrency().
   int build_threads = 0;
   /// Doubling resizes a single Insert/InsertParallel/CommitWrites call may
   /// trigger transparently per shard on CapacityError before surfacing the
@@ -118,20 +91,6 @@ struct ShardedCcfOptions {
   /// (explicit Compact() still works). Ignored on deserialized (log-less)
   /// filters.
   double compact_watermark = 0.5;
-  /// NUMA placement (see the concurrency model above): shard→node
-  /// round-robin assignment, node-bound table pages, node-pinned
-  /// build/resize/commit workers, and one epoch domain per node. kAuto
-  /// activates all of it only on multi-node machines, so single-node
-  /// behavior is unchanged; results are bit-identical either way.
-  NumaPolicy numa_policy = NumaPolicy::kAuto;
-  /// Per-node lookup worker threads fed over bounded SPSC rings. 0 (the
-  /// default) keeps batched lookups synchronous on the calling thread.
-  /// With N > 0 and an active multi-node policy, broadcast LookupBatch and
-  /// ContainsKeyBatch ship each REMOTE node's shard groups to that node's
-  /// workers (the caller resolves its own node inline); a full ring falls
-  /// back to inline resolution, so workers add parallelism, never
-  /// blocking. Answers are bit-identical to the synchronous path.
-  int lookup_workers_per_node = 0;
   /// Auto-commit SIZE trigger for bursty writers: when a buffered write
   /// leaves a shard's staged overlay at or above this many rows, a
   /// background commit of THAT shard is scheduled (same futures machinery
@@ -163,16 +122,25 @@ class ShardedCcf : public ConditionalCuckooFilter {
       CcfVariant variant, const CcfConfig& config,
       const ShardedCcfOptions& options);
 
-  /// Teardown order matters and is part of the contract: (1) stop and join
-  /// the SPSC lookup workers, (2) reap every in-flight watermark-resize
-  /// future (they capture `this` and touch shards and domains), and only
-  /// then (3) synchronize each per-node epoch domain so deferred
-  /// reclamation hooks (write-buffer recycling references the shards) run
-  /// while the shards are still alive. The domains themselves are declared
-  /// first, so they are destroyed last — after every TableHandle has
-  /// released its object into them. Callers holding CommitWritesAsync /
-  /// ResizeShardAsync futures must still join those before destroying the
-  /// filter (std::future's destructor does, for async-launched tasks).
+  /// Worker threads for a striped per-shard pass (InsertParallel and the
+  /// striped CommitWrites): `requested` if positive, else `build_threads`
+  /// if positive, else one per shard — capped at `num_shards` and at
+  /// `hardware_threads` (treated as 1 when the platform reports 0). A
+  /// deserialized filter's shard count comes from its blob and may be
+  /// 4096, so the hardware cap is what bounds the threads one call starts.
+  static int WorkerThreads(int requested, int build_threads, size_t num_shards,
+                           unsigned hardware_threads);
+
+  /// Teardown order matters and is part of the contract: (1) reap every
+  /// in-flight watermark-resize / autocommit future (they capture `this`
+  /// and touch the shards and the domain), and only then (2) synchronize
+  /// the epoch domain so deferred reclamation hooks (write-buffer recycling
+  /// references the shards) run while the shards are still alive. The
+  /// domain itself is declared first, so it is destroyed last — after
+  /// every TableHandle has released its object into it. Callers holding
+  /// CommitWritesAsync / ResizeShardAsync futures must still join those
+  /// before destroying the filter (std::future's destructor does, for
+  /// async-launched tasks).
   ~ShardedCcf() override;
 
   /// Routes the row to its shard (one writer per shard; takes that shard's
@@ -274,12 +242,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// Striped: when more than one shard has staged records, `num_threads`
   /// workers (0 → options.build_threads, which 0-defaults to one per
   /// shard) drain the shards in parallel, InsertParallel-style — each
-  /// worker commits a disjoint stripe under the per-shard writer mutexes,
-  /// pinned to its stripe's node under an active NUMA policy. Error
-  /// reporting stays deterministic regardless of thread count: the LOWEST
-  /// failing shard's status wins, "shard N: "-prefixed. With one (or no)
-  /// non-empty shard the commit runs inline on the calling thread exactly
-  /// as before.
+  /// worker commits a disjoint stripe under the per-shard writer mutexes.
+  /// Error reporting stays deterministic regardless of thread count: the
+  /// LOWEST failing shard's status wins, "shard N: "-prefixed. With one (or
+  /// no) non-empty shard the commit runs inline on the calling thread.
   Status CommitWrites(int num_threads = 0);
 
   /// CommitWrites on a background thread; the future carries its Status.
@@ -643,17 +609,13 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// (salt-keyed key hash + packed payload), so a rebuild re-masks instead
   /// of re-hashing.
   struct Shard {
-    Shard(EpochDomain* domain, std::unique_ptr<ConditionalCuckooFilter> f,
-          int node)
-        : handle(domain, std::move(f)), node(node) {}
+    Shard(EpochDomain* domain, std::unique_ptr<ConditionalCuckooFilter> f)
+        : handle(domain, std::move(f)) {}
     ~Shard() {
       delete pending.load(std::memory_order_relaxed);
       delete spare.load(std::memory_order_relaxed);
     }
     TableHandle<ConditionalCuckooFilter> handle;
-    /// Dense node index (into domains_/node assignment); 0 when the NUMA
-    /// policy is inactive. Immutable after construction.
-    int node = 0;
     std::mutex writer_mu;
     std::vector<uint64_t> keys;   // guarded by writer_mu
     std::vector<uint64_t> attrs;  // row-major, guarded by writer_mu
@@ -684,17 +646,8 @@ class ShardedCcf : public ConditionalCuckooFilter {
     std::chrono::steady_clock::time_point first_staged{};
   };
 
-  /// One shard-group lookup task shipped to a node worker; defined in the
-  /// .cc (rings only hold pointers to caller-stack tasks).
-  struct LookupTask;
-  /// A node-pinned lookup worker: its SPSC ring, the producer-side mutex
-  /// that serializes concurrent querying threads into the single-producer
-  /// contract, and the thread itself.
-  struct NodeWorker;
-
   ShardedCcf(std::vector<std::unique_ptr<ConditionalCuckooFilter>> shards,
-             ShardedCcfOptions options,
-             std::shared_ptr<const NumaTopology> topo, bool numa_active);
+             ShardedCcfOptions options);
 
   /// One resize attempt at the given geometry; caller holds writer_mu.
   Status ResizeShardLocked(Shard& shard, uint64_t new_num_buckets);
@@ -751,76 +704,32 @@ class ShardedCcf : public ConditionalCuckooFilter {
   bool ResolveKeyWithOps(const CcfBase* base, const WriteBuffer* overlay,
                          uint64_t key, const Predicate* pred) const;
 
-  /// Pins every per-node epoch domain (batch paths touch shards on all
-  /// nodes; scalar paths pin just their shard's domain directly). Guard i
-  /// covers domains_[i].
-  std::vector<EpochDomain::Guard> PinAll() const;
-  /// Every shard's current snapshot, loaded once under the caller's pins
-  /// (guards[shard.node] must be active) — THE way batch read paths bind
-  /// the shard set.
-  std::vector<const CcfBase*> LoadBases(
-      const std::vector<EpochDomain::Guard>& guards) const;
-  /// Every shard's pending overlay, loaded once under the same pins; shards
+  /// Every shard's current snapshot, loaded once under the caller's pin —
+  /// THE way batch read paths bind the shard set.
+  std::vector<const CcfBase*> LoadBases(const EpochDomain::Guard& guard) const;
+  /// Every shard's pending overlay, loaded once under the same pin; shards
   /// with no staged rows are null so the (common) no-pending batch pays one
   /// pointer load per shard and nothing else.
   std::vector<const WriteBuffer*> LoadOverlays() const;
 
-  /// Resolves one shard's gathered broadcast keys against (base, overlay):
-  /// the one implementation behind the synchronous loop AND the SPSC
-  /// workers, which is what makes worker routing bit-identical by
-  /// construction. `pred` null means key-only; results land at out[pos[j]].
+  /// Resolves one shard's gathered broadcast keys against (base, overlay).
+  /// `pred` null means key-only; results land at out[pos[j]].
   Status ResolveShardBroadcast(const CcfBase* base, const WriteBuffer* overlay,
                                std::span<const uint64_t> keys,
                                std::span<const size_t> pos,
                                const Predicate* pred, bool* out) const;
-  /// Gathers keys per shard and resolves them node-aware: remote nodes'
-  /// shard groups ship to their node workers over the SPSC rings, the
-  /// caller's node resolves inline, and a full ring degrades to inline.
-  /// Used by broadcast LookupBatch and ContainsKeyBatch when workers are
-  /// running; callers hold pins on every domain.
-  Status RoutedBroadcast(std::span<const CcfBase* const> bases,
-                         std::span<const WriteBuffer* const> overlays,
-                         std::span<const uint64_t> keys, const Predicate* pred,
-                         bool* out) const;
-  void StartWorkers();
-  void StopWorkers();
-  /// A node worker's main loop: pin to `node`, pop tasks, resolve, with a
-  /// spin→yield→sleep idle backoff.
-  void WorkerLoop(int node, NodeWorker* worker);
 
-  /// Runs work(s) exactly once per shard across `threads` workers
-  /// (threads <= 1 ⇒ inline loop on the caller). Under an active
-  /// multi-node policy with threads >= num nodes, workers stripe
-  /// node-major and pin to their node's cpu set so shard mutations run
-  /// next to the shard's pages; otherwise plain modular striping (a pinned
-  /// thread serves exactly one node, so fewer threads than nodes must stay
-  /// unpinned to cover every shard). Shared by InsertParallel and the
-  /// striped CommitWrites.
+  /// Runs work(s) exactly once per shard, striped modulo `threads` workers
+  /// (threads <= 1 ⇒ inline loop on the caller). Shared by InsertParallel
+  /// and the striped CommitWrites.
   void ForEachShardParallel(int threads,
                             const std::function<void(size_t)>& work);
 
-  /// The shard's placement node for allocation binding: its dense node
-  /// index under an active policy, -1 (no binding) otherwise.
-  int AllocNode(const Shard& shard) const {
-    return numa_active_ ? shard.node : -1;
-  }
-
-  /// Declared first so they are destroyed LAST: retired shard filters are
-  /// freed by each domain's destructor after the handles are gone. One
-  /// domain per node under an active NUMA policy (shard pin/unpin traffic
-  /// stays node-local), exactly one otherwise.
-  mutable std::vector<std::unique_ptr<EpochDomain>> domains_;
+  /// Declared first so it is destroyed LAST: retired shard filters are
+  /// freed by the domain's destructor after the handles are gone.
+  mutable EpochDomain domain_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardedCcfOptions options_;
-  /// Topology snapshot taken at construction (placement decisions must not
-  /// shift under a test override mid-life) and the resolved policy.
-  std::shared_ptr<const NumaTopology> topo_;
-  bool numa_active_ = false;
-  /// Node-major lookup workers (node * lookup_workers_per_node + i); empty
-  /// unless the policy is active, multi-node, and workers were requested.
-  /// Mutable: const read paths push tasks into the rings.
-  mutable std::vector<std::unique_ptr<NodeWorker>> workers_;
-  std::atomic<bool> workers_stop_{false};
   /// Immutable copies taken at construction so config()/variant() never
   /// dereference a swappable shard object (a concurrent resize of shard 0
   /// could retire it mid-read).

@@ -154,7 +154,6 @@ Result<BuiltCcf> BuildCcf(const TableData& table,
   config.optimize_bloom_hashes = params.optimize_bloom_hashes;
   config.salt = params.salt;
   config.slots_per_bucket = params.slots_per_bucket;
-  config.reproducible_scalar = params.reproducible_scalar;
 
   DuplicateProfile profile = DuplicateProfile::FromCounts(
       rows.distinct_dupes_per_key, config.max_dupes, config.max_chain);

@@ -40,12 +40,6 @@ struct CcfBuildParams {
   /// transparent online resizes (ShardedCcfOptions::max_auto_resizes), so a
   /// single overloaded shard doubles alone while the rest keep serving.
   int max_rebuilds = 5;
-  /// Scalar (batch_build = false) insertion runs each variant's full
-  /// addressed insertion per row when true, pinning row-at-a-time builds
-  /// bit-for-bit (`ccf_joblight --build scalar` relies on it). false opts
-  /// into the packed-compare scalar fast path (single-word dupe compare +
-  /// one-store slot writes); see CcfConfig::reproducible_scalar.
-  bool reproducible_scalar = true;
   /// Build through the batched two-wave InsertBatch pipeline, with each
   /// doubling rebuild re-placing rows from the hash memo instead of
   /// re-hashing the table. false pins the row-at-a-time scalar insertion

@@ -6,8 +6,6 @@
 #include <new>
 #include <utility>
 
-#include "util/topology.h"
-
 #if defined(__linux__)
 #include <sys/mman.h>
 #endif
@@ -54,17 +52,6 @@ Allocation AllocateWords(size_t words) {
         (void)munmap(reinterpret_cast<void*>(tail), map_end - tail);
       }
       (void)madvise(reinterpret_cast<void*>(aligned), rounded, MADV_HUGEPAGE);
-      // NUMA placement rides the same pre-touch window as the hugepage
-      // advice: with a ScopedNumaAllocNode live on this thread (ShardedCcf
-      // sets one per shard build/resize/commit), bind the pages to the
-      // shard's node BEFORE first touch so they fault in node-local
-      // wherever the building thread happens to run. Best-effort — a
-      // rejected mbind leaves plain first-touch placement.
-      int numa_node = ScopedNumaAllocNode::current();
-      if (numa_node >= 0) {
-        BindMemoryToNode(reinterpret_cast<void*>(aligned), rounded, numa_node)
-            .ok();
-      }
       out.words = reinterpret_cast<uint64_t*>(aligned);
       out.map_base = reinterpret_cast<void*>(aligned);
       out.map_bytes = rounded;

@@ -31,10 +31,6 @@ namespace ccf {
 ///    waits on a page walk as well.
 ///  * One extra zero guard word follows the logical words, so LoadBits64 may
 ///    issue an unaligned 64-bit load at any byte holding a logical bit.
-///  * With a util/topology.h ScopedNumaAllocNode live on the allocating
-///    thread, mmap-backed vectors are additionally mbind-bound to that NUMA
-///    node before first touch (best-effort), so a sharded table's pages live
-///    on the node whose threads probe them.
 ///  * Alias mode: Load with an AliasMapping leaves words_ pointing INTO the
 ///    serialized buffer (typically a read-only file mapping) instead of
 ///    copying. The vector holds the mapping's keepalive; the first mutation

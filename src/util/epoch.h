@@ -190,8 +190,6 @@ class TableHandle {
     domain_->Retire(std::unique_ptr<T>(old));
   }
 
-  EpochDomain* domain() const { return domain_; }
-
  private:
   EpochDomain* domain_;
   std::atomic<T*> ptr_;

@@ -1,18 +1,17 @@
-// Bounded single-producer/single-consumer ring, the handoff primitive of
-// the node-routed batched lookup path: the querying thread (producer)
-// pushes per-node task descriptors, a node-pinned worker (consumer) pops
-// and resolves them. With exactly one thread on each side, push and pop
-// are a single release store against a single acquire load each — no CAS,
-// no shared modified line beyond the two indices — which is what keeps the
-// handoff cheaper than the cross-node bucket traffic it replaces.
+// Bounded single-producer/single-consumer ring, the request handoff of
+// FilterCatalog's cross-request batcher (serve/filter_catalog.h): querying
+// threads (producer) push parked request descriptors, the one batcher
+// thread (consumer) pops, groups and resolves them. With exactly one
+// thread on each side, push and pop are a single release store against a
+// single acquire load each — no CAS, no shared modified line beyond the
+// two indices.
 //
 // Contract: at most one concurrent pusher and one concurrent popper.
-// ShardedCcf serializes its (potentially many) querying threads on a
-// per-ring producer mutex, which preserves the single-producer memory
-// ordering; the consumer side is always the ring's one worker thread.
-// A full ring rejects the push (TryPush returns false) — callers fall
-// back to executing the task inline, so the bound is backpressure, never
-// blocking.
+// FilterCatalog serializes its (potentially many) querying threads on a
+// producer mutex, which preserves the single-producer memory ordering; the
+// consumer side is always the batcher thread. A full ring rejects the push
+// (TryPush returns false) — callers fall back to resolving the request
+// inline, so the bound is backpressure, never blocking.
 #ifndef CCF_UTIL_SPSC_RING_H_
 #define CCF_UTIL_SPSC_RING_H_
 
@@ -24,8 +23,9 @@
 
 namespace ccf {
 
-/// \brief Bounded SPSC FIFO of trivially-copyable values (pointers, in the
-/// lookup path). Capacity is rounded up to a power of two.
+/// \brief Bounded SPSC FIFO of trivially-copyable values (request
+/// pointers, in the catalog batcher). Capacity is rounded up to a power of
+/// two.
 template <typename T>
 class SpscRing {
  public:

@@ -102,41 +102,6 @@ TEST_P(BuildEquivalenceTest, BatchBuildMatchesScalarBuild) {
   EXPECT_NEAR(rate_batch, rate_scalar, 0.02);
 }
 
-TEST_P(BuildEquivalenceTest, PackedScalarInsertMatchesReproduciblePath) {
-  // The packed-compare scalar fast path (config.reproducible_scalar =
-  // false) reuses the wave-1 displacement-free placement row-at-a-time:
-  // dedupe decisions and free-slot choices are the same as the historical
-  // per-attribute path, so on standard geometries the two builds agree
-  // structurally and on every inserted row. (The flag exists so the
-  // historical path stays pinned for reproduction tooling.)
-  Rows rows = MakeRows(12000, 67);
-  CcfConfig config = EquivConfig(4096, 11);
-  auto reproducible =
-      ConditionalCuckooFilter::Make(GetParam(), config).ValueOrDie();
-  for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(reproducible->Insert(rows.keys[i], RowAttrs(rows, i)).ok());
-  }
-
-  CcfConfig packed_config = config;
-  packed_config.reproducible_scalar = false;
-  auto packed =
-      ConditionalCuckooFilter::Make(GetParam(), packed_config).ValueOrDie();
-  for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(packed->Insert(rows.keys[i], RowAttrs(rows, i)).ok());
-  }
-
-  EXPECT_EQ(packed->num_entries(), reproducible->num_entries());
-  EXPECT_EQ(packed->num_rows(), reproducible->num_rows());
-  EXPECT_EQ(packed->SizeInBits(), reproducible->SizeInBits());
-  for (size_t i = 0; i < rows.keys.size(); ++i) {
-    ASSERT_TRUE(packed->ContainsRow(rows.keys[i], RowAttrs(rows, i)))
-        << "row " << i;
-  }
-  // On these geometries the fast path's decisions match the historical
-  // path exactly, so the builds are bit-identical.
-  EXPECT_EQ(packed->Serialize(), reproducible->Serialize());
-}
-
 TEST_P(BuildEquivalenceTest, InsertBatchIsDeterministic) {
   Rows rows = MakeRows(8000, 31);
   CcfConfig config = EquivConfig(4096, 3);

@@ -1,7 +1,9 @@
 // ShardedCcf: routing correctness (answers identical to the owning shard),
 // no false negatives through scalar/batched/parallel-build paths,
-// equivalence of sequential and parallel builds, derived key filters, and
-// serialization round-trips through the ConditionalCuckooFilter dispatch.
+// equivalence of sequential and parallel builds and commits, batch-vs-scalar
+// answers under staged writes and erases, teardown with maintenance in
+// flight, derived key filters, and serialization round-trips through the
+// ConditionalCuckooFilter dispatch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -211,6 +213,118 @@ TEST_P(ShardedCcfTest, SerializeRoundTripsThroughBaseDispatch) {
     EXPECT_EQ(restored->Contains(key, pred), sharded->Contains(key, pred));
     EXPECT_EQ(restored->ContainsKey(key), sharded->ContainsKey(key));
   }
+}
+
+TEST_P(ShardedCcfTest, StripedCommitMatchesSequentialCommit) {
+  // CommitWrites stripes non-empty shards over worker threads; each shard
+  // still commits its own staged rows in staging order, so the published
+  // tables are byte-identical to a one-thread commit.
+  ShardedCcfOptions opts;
+  opts.num_shards = 8;
+  Rows rows = MakeRows(6000, 41);
+  auto seq = ShardedCcf::Make(GetParam(), TestConfig(59), opts).ValueOrDie();
+  auto striped =
+      ShardedCcf::Make(GetParam(), TestConfig(59), opts).ValueOrDie();
+  ASSERT_TRUE(seq->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
+  ASSERT_TRUE(striped->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
+  ASSERT_TRUE(seq->CommitWrites(/*num_threads=*/1).ok());
+  ASSERT_TRUE(striped->CommitWrites(/*num_threads=*/8).ok());
+  EXPECT_EQ(seq->Serialize(), striped->Serialize());
+  EXPECT_EQ(seq->pending_writes(), 0u);
+  EXPECT_EQ(striped->pending_writes(), 0u);
+}
+
+TEST_P(ShardedCcfTest, StagedWritesAndErasesBatchMatchesScalar) {
+  // Staged inserts ride the overlay fast path and staged erases force the
+  // exact per-key slow path; ContainsKeyBatch and broadcast LookupBatch
+  // must agree with the scalar calls through both. A striped commit of the
+  // erase-carrying batch then matches a one-thread commit byte for byte.
+  ShardedCcfOptions opts;
+  opts.num_shards = 8;
+  Rows rows = MakeRows(9000, 17);
+  auto seq = ShardedCcf::Make(GetParam(), TestConfig(77), opts).ValueOrDie();
+  auto striped =
+      ShardedCcf::Make(GetParam(), TestConfig(77), opts).ValueOrDie();
+  std::vector<uint64_t> staged_keys;
+  std::vector<uint64_t> staged_attrs;
+  for (uint64_t k = 500000; k < 500200; ++k) {
+    staged_keys.push_back(k);
+    staged_attrs.push_back(k % 97);
+    staged_attrs.push_back(k % 13);
+  }
+  for (ShardedCcf* f : {seq.get(), striped.get()}) {
+    ASSERT_TRUE(f->InsertParallel(rows.keys, rows.flat_attrs).ok());
+    ASSERT_TRUE(f->BufferWriteBatch(staged_keys, staged_attrs).ok());
+    for (size_t i = 0; i < 300; i += 3) {
+      std::span<const uint64_t> attrs(&rows.flat_attrs[2 * i], 2);
+      ASSERT_TRUE(f->BufferErase(rows.keys[i], attrs).ok());
+    }
+  }
+
+  // Probe set: committed hits, staged hits, erased rows, and misses.
+  std::vector<uint64_t> probes;
+  for (size_t i = 0; i < rows.keys.size(); i += 7) {
+    probes.push_back(rows.keys[i]);
+  }
+  probes.insert(probes.end(), staged_keys.begin(), staged_keys.end());
+  for (uint64_t k = 900000; k < 900500; ++k) probes.push_back(k);
+  const size_t n = probes.size();
+  std::unique_ptr<bool[]> out(new bool[n]);
+
+  seq->ContainsKeyBatch(probes, std::span<bool>(out.get(), n));
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(out[i], seq->ContainsKey(probes[i])) << "probe " << i;
+  }
+  // A value most committed rows can carry, so hit and miss branches fire.
+  Predicate pred = Predicate::Equals(1, 7);
+  ASSERT_TRUE(seq->LookupBatch(probes, std::span<const Predicate>(&pred, 1),
+                               std::span<bool>(out.get(), n))
+                  .ok());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(out[i], seq->Contains(probes[i], pred)) << "probe " << i;
+  }
+
+  ASSERT_TRUE(seq->CommitWrites(/*num_threads=*/1).ok());
+  ASSERT_TRUE(striped->CommitWrites(/*num_threads=*/4).ok());
+  EXPECT_EQ(seq->Serialize(), striped->Serialize());
+  EXPECT_EQ(seq->num_rows(), striped->num_rows());
+}
+
+TEST_P(ShardedCcfTest, DestructionReapsInFlightMaintenance) {
+  // Watermark resizes capture `this` and the epoch domain holds retire
+  // hooks that touch the shards: a filter destroyed with maintenance in
+  // flight (no DrainMaintenance call) must join and synchronize
+  // everything itself. Sanitizer runs catch any use-after-free here.
+  Rows rows = MakeRows(9000, 67);
+  for (int round = 0; round < 3; ++round) {
+    ShardedCcfOptions opts;
+    opts.num_shards = 8;
+    opts.resize_watermark = 0.10;  // absurdly low: every commit schedules
+    auto filter =
+        ShardedCcf::Make(GetParam(), TestConfig(83), opts).ValueOrDie();
+    ASSERT_TRUE(filter->BufferWriteBatch(rows.keys, rows.flat_attrs).ok());
+    ASSERT_TRUE(filter->CommitWrites(/*num_threads=*/4).ok());
+    std::unique_ptr<bool[]> out(new bool[rows.keys.size()]);
+    filter->ContainsKeyBatch(rows.keys,
+                             std::span<bool>(out.get(), rows.keys.size()));
+    // Destroy immediately: maintenance futures join, then the domain
+    // synchronizes.
+  }
+}
+
+TEST(ShardedCcfValidationTest, WorkerThreadsCappedAtHardware) {
+  // Explicit request, then options.build_threads, then one per shard.
+  EXPECT_EQ(ShardedCcf::WorkerThreads(3, 0, 8, 64), 3);
+  EXPECT_EQ(ShardedCcf::WorkerThreads(0, 5, 8, 64), 5);
+  EXPECT_EQ(ShardedCcf::WorkerThreads(0, 0, 8, 64), 8);
+  // Never more threads than shards.
+  EXPECT_EQ(ShardedCcf::WorkerThreads(16, 0, 8, 64), 8);
+  // Never more threads than the hardware runs, however many shards a
+  // (possibly deserialized) filter has.
+  EXPECT_EQ(ShardedCcf::WorkerThreads(0, 0, 4096, 4), 4);
+  EXPECT_EQ(ShardedCcf::WorkerThreads(4096, 4096, 4096, 16), 16);
+  // An unknown hardware count (0) means one thread.
+  EXPECT_EQ(ShardedCcf::WorkerThreads(0, 0, 4096, 0), 1);
 }
 
 TEST(ShardedCcfValidationTest, RejectsBadShapes) {

@@ -6,7 +6,7 @@
 //   ccf_joblight [--scale N] [--variant bloom|mixed|chained]
 //                [--attr-bits B] [--key-bits B] [--bloom-bits B]
 //                [--seed S] [--per-instance]
-//                [--build scalar|scalar-packed|batch]
+//                [--build scalar|batch]
 //                [--live-writes] [--shards N] [--write-batch N]
 //
 // --build defaults to scalar: the row-at-a-time insertion order makes slot
@@ -14,10 +14,6 @@
 // reproducible run-over-run and commit-over-commit. --build batch uses the
 // production bulk-build pipeline (same guarantees and entry counts;
 // placement order differs, so FP noise may shift in the last decimals).
-// --build scalar-packed keeps row-at-a-time insertion but opts into the
-// packed-compare fast path (CcfBuildParams::reproducible_scalar = false):
-// displacement-free rows dedupe via one word compare and land via one
-// field store.
 //
 // --live-writes builds each table's filter through the SERVING write path
 // instead of the offline bulk build: a sharded filter (default 8 shards,
@@ -68,7 +64,6 @@ struct Options {
   uint64_t seed = 7;
   bool per_instance = false;
   bool batch_build = false;
-  bool reproducible_scalar = true;
   bool live_writes = false;
   bool live_crud = false;
   int shards = 8;
@@ -84,7 +79,7 @@ void PrintUsageAndExit(const char* argv0) {
                "usage: %s [--scale N] [--variant bloom|mixed|chained]\n"
                "          [--attr-bits B] [--key-bits B] [--bloom-bits B]\n"
                "          [--seed S] [--per-instance]\n"
-               "          [--build scalar|scalar-packed|batch]\n"
+               "          [--build scalar|batch]\n"
                "          [--live-writes] [--shards N] [--write-batch N]\n"
                "          [--live-crud] [--churn N]\n"
                "          [--multi-join] [--max-level L]\n",
@@ -168,9 +163,6 @@ ccf::Result<Options> Parse(int argc, char** argv) {
         opts.batch_build = true;
       } else if (std::strcmp(v, "scalar") == 0) {
         opts.batch_build = false;
-      } else if (std::strcmp(v, "scalar-packed") == 0) {
-        opts.batch_build = false;
-        opts.reproducible_scalar = false;
       } else {
         return ccf::Status::Invalid("unknown build mode: " + std::string(v));
       }
@@ -292,7 +284,6 @@ int main(int argc, char** argv) {
   params.key_fp_bits = opts.key_bits;
   params.bloom_bits = opts.bloom_bits;
   params.batch_build = opts.batch_build;
-  params.reproducible_scalar = opts.reproducible_scalar;
   if (opts.live_writes) {
     params.num_shards = opts.shards;
     params.live_write_batch = opts.write_batch;
