@@ -57,9 +57,10 @@ class BucketTable {
     return occupied_.GetBit(SlotIndex(bucket, slot));
   }
 
-  /// Prefetches the slot line(s) a MatchMask of `bucket` reads — usually
-  /// one, two when the bucket straddles a line boundary. The occupancy
-  /// bitmap is a separate line and is NOT fetched: probes read it only for
+  /// Prefetches the slot line(s) a MatchMask of `bucket` reads, from the
+  /// bucket's first bit to read_tail_bits_ past it — usually one, two when
+  /// the bucket straddles a line boundary. The occupancy bitmap is a
+  /// separate line and is NOT fetched: probes read it only for
   /// fingerprint-0 candidates (see ForEachOccupiedMatch).
   void PrefetchBucket(uint64_t bucket) const {
     const size_t first = SlotBitOffset(bucket, 0);
@@ -88,16 +89,11 @@ class BucketTable {
   }
 
   /// Bit s set iff slot s's fingerprint equals `fp`, occupancy ignored:
-  /// the one-pass replacement for a slot-by-slot fingerprint_any scan
-  /// (see bucket_view.h). Reads only the bucket's slot line(s).
+  /// bucket_view.h's lane kernel, one LoadBits64 per group of
+  /// lane_geom_.lanes slots. Reads only the bucket's slot line(s).
   uint64_t MatchMask(uint64_t bucket, uint32_t fp) const {
-    const size_t first = SlotBitOffset(bucket, 0);
-    if (direct_) {
-      return bucket_simd::MatchDirectSwar(slots_.LoadBits64(first), fp,
-                                          fingerprint_bits_, direct_geom_);
-    }
-    return bucket_simd::MatchStrided(slots_, first, slots_per_bucket_,
-                                     slot_bits_, fp_mask_, fp);
+    return bucket_simd::MatchLanes(slots_, SlotBitOffset(bucket, 0), fp,
+                                   lane_geom_);
   }
 
   /// The reference MatchMask: one GetField per slot. Differential tests pin
@@ -258,13 +254,10 @@ class BucketTable {
   int payload_bits_;
   int slot_bits_;
   uint64_t num_occupied_ = 0;
-  /// MatchMask geometry: direct_ when the payload-free bucket fits one
-  /// LoadBits64 (MatchDirectSwar), else the per-slot MatchStrided kernel.
-  bool direct_;
-  uint32_t fp_mask_;
-  bucket_simd::SwarGeometry direct_geom_;
+  bucket_simd::LaneGeometry lane_geom_;  // MatchMask's kernel constants
   /// Offset from a bucket's first bit to the last bit MatchMask or a slot
-  /// read may touch (the 8-byte load tail included): PrefetchBucket's span.
+  /// read may touch: PrefetchBucket's span. The last lane group's load
+  /// reads 8 bytes from its first slot's first byte.
   size_t read_tail_bits_;
   BitVector slots_;
   BitVector occupied_;

@@ -1,20 +1,23 @@
-// Bucket fingerprint kernels: "which slots of this bucket hold fingerprint
-// κ?" answered as one dense slot bitmask.
+// Bucket fingerprint kernel: "which slots of this bucket hold fingerprint
+// κ?" answered as one dense slot bitmask, for every table geometry.
 //
-//   * MatchDirectSwar — payload-free tables (CuckooFilter) whose whole
-//     bucket fits in one unaligned 64-bit load: the probe fingerprint is
-//     broadcast with a multiply and all slots are compared at once with an
-//     exact per-lane SWAR zero test.
-//   * MatchStrided    — every other geometry (all CCF variants, any slot
-//     width): one unaligned LoadBits64 per slot, masked to the fingerprint
-//     field and compared. Portable, branch-free, and it touches only the
-//     bytes the bucket's slots live in (plus the 7-byte load tail), so the
-//     bucket's own cache lines are the only ones it needs.
+// A BitVector::LoadBits64 from a slot's first bit delivers 57 valid bits:
+// the fingerprint fields of lanes = min(slots, (57 - fp_bits) / slot_bits
+// + 1) consecutive slots, lane i's field at bits [i * slot_bits, i *
+// slot_bits + fp_bits). A bucket takes one load per group of `lanes`
+// slots. Each load is XORed with the probe fingerprint broadcast to every
+// lane, and an exact per-lane zero test over the fingerprint fields flags
+// the matching lanes; payload bits between the fields are masked out.
+// Payload-free buckets that fit one load (CuckooFilter) take one load, the
+// 24-, 28- and 36-bit CCF slots with 12-bit fingerprints take 2 lanes per
+// load, and slots wider than 57 - fp_bits take one load per slot.
 //
-// Both return the mask a slot-by-slot fingerprint_any scan would produce
-// (bit s set iff slot s's fingerprint field equals fp). Occupancy is not
-// consulted: unoccupied and erased slots read fingerprint 0, so callers
-// confirm occupancy only when the mask is non-zero.
+// The mask equals BucketTable::MatchMaskScalar's slot-by-slot compare.
+// Occupancy is not consulted: unoccupied and erased slots read fingerprint
+// 0, so callers confirm occupancy only when the mask is non-zero. The last
+// group's load reads 8 bytes from its first slot's first byte; lanes past
+// the bucket's last slot read the next bucket or the BitVector guard word
+// and are cut from the mask.
 #ifndef CCF_CUCKOO_BUCKET_VIEW_H_
 #define CCF_CUCKOO_BUCKET_VIEW_H_
 
@@ -32,67 +35,78 @@ namespace bucket_simd {
 /// (64 minus the worst-case intra-byte shift).
 inline constexpr int kLoadBits = 57;
 
-/// Precomputed masks for `lanes` lanes of `width` bits packed at stride
-/// `width` from bit 0 of a word.
-struct SwarGeometry {
-  uint64_t ones = 0;   // 1 at each lane's LSB
-  uint64_t lows = 0;   // 2^(width-1) - 1 in each lane
-  uint64_t highs = 0;  // 1 at each lane's MSB
+/// Fixed-point shift of LaneGeometry::lane_recip.
+inline constexpr int kLaneRecipShift = 16;
+
+/// Per-table constants of the lane kernel, packed into 32 bytes.
+struct LaneGeometry {
+  uint64_t ones = 0;        // 1 at each lane's LSB (bit i * slot_bits)
+  uint64_t highs = 0;       // the top bit of each fingerprint field
+  uint64_t slot_mask = 0;   // the low `slots` bits
+  uint32_t lane_recip = 0;  // ceil(2^16 / slot_bits), see LaneOfBit
+  uint16_t group_bits = 0;  // lanes * slot_bits: the stride of the loads
+  uint8_t lanes = 0;
+  uint8_t slots = 0;
 };
 
-constexpr SwarGeometry MakeSwarGeometry(int width, int lanes) {
-  SwarGeometry g;
-  for (int i = 0; i < lanes; ++i) {
-    g.ones |= uint64_t{1} << (i * width);
-  }
-  g.highs = g.ones << (width - 1);
-  g.lows = g.ones * ((uint64_t{1} << (width - 1)) - 1);
+/// Geometry for `slots` (1..64) slots of `slot_bits` (fp_bits..4128) bits
+/// whose low `fp_bits` (1..32) bits are the fingerprint.
+constexpr LaneGeometry MakeLaneGeometry(int slots, int fp_bits,
+                                        int slot_bits) {
+  LaneGeometry g;
+  const int fit = (kLoadBits - fp_bits) / slot_bits + 1;
+  const int lanes = fit < slots ? fit : slots;
+  for (int i = 0; i < lanes; ++i) g.ones |= uint64_t{1} << (i * slot_bits);
+  g.highs = g.ones << (fp_bits - 1);
+  g.slot_mask = slots == 64 ? ~uint64_t{0} : (uint64_t{1} << slots) - 1;
+  g.lane_recip = static_cast<uint32_t>(
+      ((1 << kLaneRecipShift) + slot_bits - 1) / slot_bits);
+  g.group_bits = static_cast<uint16_t>(lanes * slot_bits);
+  g.lanes = static_cast<uint8_t>(lanes);
+  g.slots = static_cast<uint8_t>(slots);
   return g;
 }
 
-/// Exact per-lane zero test (Hacker's Delight 6-2, per-lane form): the MSB
-/// of each lane of the result is set iff that lane of `x` is zero. Unlike
-/// the cheaper (x - ones) & ~x & highs idiom this cannot false-positive
-/// from cross-lane borrows: (x & lows) + lows stays below 2^width per lane.
-inline uint64_t ZeroLaneMsbs(uint64_t x, const SwarGeometry& g) {
-  return ~(((x & g.lows) + g.lows) | x | g.lows) & g.highs;
+/// bit / slot_bits for a flag bit of ZeroLaneMsbs, by reciprocal
+/// multiply: the rounding error stays below 64 / 2^16, under 1 / slot_bits
+/// for every slot with two or more lanes (at most 56 bits); one-lane slots
+/// flag only bit fp_bits - 1 and yield 0 (LaneGeometryPacksFieldsIntoOneLoad
+/// checks every geometry).
+inline int LaneOfBit(int bit, const LaneGeometry& g) {
+  return static_cast<int>((static_cast<uint32_t>(bit) * g.lane_recip) >>
+                          kLaneRecipShift);
 }
 
-/// Collapses lane-MSB flags to a dense per-lane bitmask. Iterates only set
-/// flags (matches are rare on the probe path).
-inline uint32_t DenseMaskFromMsbs(uint64_t msbs, int width) {
-  uint32_t out = 0;
-  while (msbs != 0) {
-    int bit = std::countr_zero(msbs);
-    out |= uint32_t{1} << (bit / width);
-    msbs &= msbs - 1;
-  }
-  return out;
+/// Exact per-lane zero test (Hacker's Delight 6-2, per-lane form) over the
+/// fingerprint fields: the top bit of each field is set in the result iff
+/// that field of `x` is zero. `lows` holds the low fp_bits - 1 bits of each
+/// field. Unlike the cheaper (x - ones) & ~x & highs idiom this cannot
+/// false-positive from cross-lane borrows: (x & lows) + lows stays inside
+/// each field.
+inline uint64_t ZeroLaneMsbs(uint64_t x, const LaneGeometry& g) {
+  const uint64_t lows = g.highs - g.ones;
+  return ~(((x & lows) + lows) | x | lows) & g.highs;
 }
 
-/// Direct kernel: all lanes live in `word` at stride `width`; `g` must
-/// come from MakeSwarGeometry(width, slots). Bits of `word` above the last
-/// lane are ignored (g's masks do not cover them).
-inline uint32_t MatchDirectSwar(uint64_t word, uint32_t fp, int width,
-                                const SwarGeometry& g) {
-  uint64_t x = word ^ (g.ones * fp);
-  return DenseMaskFromMsbs(ZeroLaneMsbs(x, g), width);
-}
-
-/// Strided kernel: `slots` slots of `slot_bits` bits starting at bit
-/// `bucket_bit` of `bits`, each slot's fingerprint in its low bits under
-/// `fp_mask` (fingerprints are at most 32 bits, well inside a LoadBits64).
-inline uint64_t MatchStrided(const BitVector& bits, size_t bucket_bit,
-                             int slots, int slot_bits, uint32_t fp_mask,
-                             uint32_t fp) {
+/// Match mask of the bucket whose first slot starts at bit `bucket_bit` of
+/// `bits`: bit s set iff slot s's fingerprint field equals `fp`.
+inline uint64_t MatchLanes(const BitVector& bits, size_t bucket_bit,
+                           uint32_t fp, const LaneGeometry& g) {
+  const uint64_t probe = g.ones * fp;
   uint64_t out = 0;
-  for (int s = 0; s < slots; ++s) {
-    const uint32_t field =
-        static_cast<uint32_t>(bits.LoadBits64(bucket_bit)) & fp_mask;
-    out |= static_cast<uint64_t>(field == fp) << s;
-    bucket_bit += static_cast<size_t>(slot_bits);
-  }
-  return out;
+  int first = 0;
+  do {
+    uint64_t msbs = ZeroLaneMsbs(bits.LoadBits64(bucket_bit) ^ probe, g);
+    uint64_t group = 0;
+    while (msbs != 0) {  // matches are rare on the probe path
+      group |= uint64_t{1} << LaneOfBit(std::countr_zero(msbs), g);
+      msbs &= msbs - 1;
+    }
+    out |= group << first;
+    bucket_bit += g.group_bits;
+    first += g.lanes;
+  } while (first < g.slots);
+  return out & g.slot_mask;
 }
 
 }  // namespace bucket_simd
