@@ -67,11 +67,10 @@ constexpr LaneGeometry MakeLaneGeometry(int slots, int fp_bits,
   return g;
 }
 
-/// bit / slot_bits for a flag bit of ZeroLaneMsbs, by reciprocal
-/// multiply: the rounding error stays below 64 / 2^16, under 1 / slot_bits
-/// for every slot with two or more lanes (at most 56 bits); one-lane slots
-/// flag only bit fp_bits - 1 and yield 0 (LaneGeometryPacksFieldsIntoOneLoad
-/// checks every geometry).
+/// bit / slot_bits for a ZeroLaneMsbs flag bit: the rounding error is under
+/// 64 / 2^16 < 1 / slot_bits for the <= 56-bit slots that have 2+ lanes;
+/// one-lane slots flag only bit fp_bits - 1 and yield 0 (a test checks
+/// every geometry).
 inline int LaneOfBit(int bit, const LaneGeometry& g) {
   return static_cast<int>((static_cast<uint32_t>(bit) * g.lane_recip) >>
                           kLaneRecipShift);
