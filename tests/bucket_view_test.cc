@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cuckoo/bucket_table.h"
+#include "util/bit_vector.h"
 #include "util/random.h"
 #include "util/serde.h"
 
@@ -377,6 +378,52 @@ TEST(BucketViewTest, AliasLoadedLastBucketStaysInsideSlack) {
         EXPECT_EQ(loaded.MatchMask(last, fp), want) << "fp=" << fp;
         EXPECT_EQ(bucket_simd::MatchLanes(bits, first, fp, lanes), want)
             << "fp=" << fp;
+      }
+    }
+  }
+}
+
+// The direct SWAR case: a payload-free bucket whose fingerprints all fit
+// one load is matched with a single load, whatever bits follow the bucket
+// (the next bucket, or garbage here) and at every intra-byte phase.
+TEST(BucketViewTest, DirectSwarKernelAgreesWithScalar) {
+  Rng rng(13);
+  for (int width : {1, 4, 8, 12, 16}) {
+    for (int lanes = 1; lanes * width <= bucket_simd::kLoadBits && lanes <= 16;
+         ++lanes) {
+      const auto g = bucket_simd::MakeLaneGeometry(lanes, width, width);
+      ASSERT_EQ(g.lanes, lanes) << "width=" << width;
+      const uint64_t lane_mask = (uint64_t{1} << width) - 1;
+      for (int trial = 0; trial < 500; ++trial) {
+        // Random word, including garbage above the last lane (the load
+        // reads whatever follows the bucket; it must be ignored).
+        uint64_t word = rng.Next();
+        // Low-entropy probes (for collisions), capped to the lane width as
+        // production fingerprints always are.
+        const uint64_t fp_domain = std::min<uint64_t>(4, lane_mask + 1);
+        const uint32_t fp = static_cast<uint32_t>(rng.NextBelow(fp_domain));
+        if (trial % 3 == 0) {
+          // Plant fp into some lanes so multi-match masks occur.
+          for (int l = 0; l < lanes; ++l) {
+            if (rng.NextBelow(2) == 0) {
+              word &= ~(lane_mask << (l * width));
+              word |= static_cast<uint64_t>(fp) << (l * width);
+            }
+          }
+        }
+        uint64_t expected = 0;
+        for (int l = 0; l < lanes; ++l) {
+          if (((word >> (l * width)) & lane_mask) == fp) {
+            expected |= uint64_t{1} << l;
+          }
+        }
+        const size_t phase = static_cast<size_t>(rng.NextBelow(8));
+        BitVector bits(192);
+        bits.SetField(phase, 64, word);
+        bits.SetField(phase + 64, 64, rng.Next());
+        EXPECT_EQ(bucket_simd::MatchLanes(bits, phase, fp, g), expected)
+            << "width=" << width << " lanes=" << lanes << " word=" << word
+            << " fp=" << fp << " phase=" << phase;
       }
     }
   }
