@@ -17,11 +17,8 @@ BucketTable::BucketTable(uint64_t num_buckets, int slots_per_bucket,
       // reads reach the bucket's last bit.
       read_tail_bits_(std::max<size_t>(
           static_cast<size_t>((slots_per_bucket - 1) / lane_geom_.lanes) *
-                  lane_geom_.group_bits +
-              56,
-          static_cast<size_t>(slots_per_bucket) *
-                  static_cast<size_t>(slot_bits_) -
-              1)),
+                  lane_geom_.group_bits + 56,
+          static_cast<size_t>(slots_per_bucket) * slot_bits_ - 1)),
       slots_(allocate ? BitVector(static_cast<size_t>(num_buckets) *
                                   static_cast<size_t>(slots_per_bucket) *
                                   static_cast<size_t>(fingerprint_bits +

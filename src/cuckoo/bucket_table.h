@@ -57,11 +57,10 @@ class BucketTable {
     return occupied_.GetBit(SlotIndex(bucket, slot));
   }
 
-  /// Prefetches the slot line(s) a MatchMask of `bucket` reads, from the
-  /// bucket's first bit to read_tail_bits_ past it — usually one, two when
-  /// the bucket straddles a line boundary. The occupancy bitmap is a
-  /// separate line and is NOT fetched: probes read it only for
-  /// fingerprint-0 candidates (see ForEachOccupiedMatch).
+  /// Prefetches the slot line(s) a MatchMask of `bucket` reads, up to
+  /// read_tail_bits_ past its first bit: one line, two when the bucket
+  /// straddles a boundary. The occupancy bitmap is NOT fetched: probes read
+  /// it only for fingerprint-0 candidates (see ForEachOccupiedMatch).
   void PrefetchBucket(uint64_t bucket) const {
     const size_t first = SlotBitOffset(bucket, 0);
     slots_.PrefetchBitRange(first, first + read_tail_bits_);

@@ -87,24 +87,28 @@ inline uint64_t ZeroLaneMsbs(uint64_t x, const LaneGeometry& g) {
   return ~(((x & lows) + lows) | x | lows) & g.highs;
 }
 
+/// Dense lane bits of ZeroLaneMsbs flags: bit i set iff lane i matched.
+inline uint64_t LaneBits(uint64_t msbs, const LaneGeometry& g) {
+  uint64_t lanes = 0;
+  for (; msbs != 0; msbs &= msbs - 1)
+    lanes |= uint64_t{1} << LaneOfBit(std::countr_zero(msbs), g);
+  return lanes;
+}
+
 /// Match mask of the bucket whose first slot starts at bit `bucket_bit` of
-/// `bits`: bit s set iff slot s's fingerprint field equals `fp`.
+/// `bits`: bit s set iff slot s's fingerprint field equals `fp`. The peeled
+/// first group makes a one-group bucket one load and one zero test.
 inline uint64_t MatchLanes(const BitVector& bits, size_t bucket_bit,
                            uint32_t fp, const LaneGeometry& g) {
   const uint64_t probe = g.ones * fp;
+  uint64_t msbs = ZeroLaneMsbs(bits.LoadBits64(bucket_bit) ^ probe, g);
   uint64_t out = 0;
-  int first = 0;
-  do {
-    uint64_t msbs = ZeroLaneMsbs(bits.LoadBits64(bucket_bit) ^ probe, g);
-    uint64_t group = 0;
-    while (msbs != 0) {  // matches are rare on the probe path
-      group |= uint64_t{1} << LaneOfBit(std::countr_zero(msbs), g);
-      msbs &= msbs - 1;
-    }
-    out |= group << first;
+  if (msbs != 0) [[unlikely]] out = LaneBits(msbs, g);
+  for (int first = g.lanes; first < g.slots; first += g.lanes) {
     bucket_bit += g.group_bits;
-    first += g.lanes;
-  } while (first < g.slots);
+    msbs = ZeroLaneMsbs(bits.LoadBits64(bucket_bit) ^ probe, g);
+    if (msbs != 0) [[unlikely]] out |= LaneBits(msbs, g) << first;
+  }
   return out & g.slot_mask;
 }
 

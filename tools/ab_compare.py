@@ -3,8 +3,7 @@
 
     python3 tools/ab_compare.py --base HEAD~1 --change HEAD \\
         [--workloads probe-dram,fleet-zipf] [--pairs 10] [--seeds 1,2] \\
-        [--seconds 30] [--scratch DIR] [--log FILE]
-    python3 tools/ab_compare.py --analyze FILE
+        [--scratch DIR] [--log FILE]
     python3 tools/ab_compare.py --self-test
 
 Run it from inside the repository. Each revision is exported with
@@ -12,9 +11,10 @@ Run it from inside the repository. Each revision is exported with
 an existing directory is used in place, e.g. "." for the working tree) and
 its benchmark is built there. Then, per workload, it runs --pairs pairs of
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`, one
-run on each side; pair i uses seed seeds[i % len(seeds)], and which side
-runs first alternates so that each seed gets each order equally often. Every result (run.py's last output line) is appended
-to --log as one JSON line, so --analyze can re-read a log.
+run on each side, with T the run_seconds of BENCHMARK.json; pair i uses
+seed seeds[i % len(seeds)], and which side runs first alternates so that
+each seed gets each order equally often. Every result (run.py's last output
+line) is appended to --log as one JSON line.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json:
 each side's median [q1, q3], the change's pair wins, the median change in
@@ -23,9 +23,9 @@ percent (positive = better), and a verdict:
               base side's quartile distance;
   worse       the change's median is worse by more than the metric's bound;
   unresolved  anything else (within the bound, or not shown better).
-Runs that are not correct or have failed operations are counted per side.
-Only the python3 standard library is used; nothing under perfbench/ is
-changed.
+Only pairs whose two runs are both correct with no failed operations enter
+the statistics; the others are counted and reported as dropped. Only the
+python3 standard library is used; nothing under perfbench/ is changed.
 """
 import argparse
 import io
@@ -143,16 +143,22 @@ def summarize(records, spec, out=sys.stdout):
             if r["workload"] == workload:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        clean = [p for p in complete
+                 if all(p[s].get("correct") and not p[s].get("failed")
+                        for s in SIDES)]
         bad = {s: sum(1 for p in complete
                       if not p[s].get("correct") or p[s].get("failed"))
                for s in SIDES}
-        print("%s: %d pairs; runs not correct or with failures: base %d, "
-              "change %d" % (workload, len(complete), bad["base"],
-                             bad["change"]), file=out)
+        print("%s: %d pairs, %d dropped (runs not correct or with failures:"
+              " base %d, change %d)" % (workload, len(complete),
+                                        len(complete) - len(clean),
+                                        bad["base"], bad["change"]), file=out)
         for name, better, bound in metrics:
-            vals = {s: [p[s]["metrics"][name]["value"] for p in complete
-                        if name in p[s].get("metrics", {})] for s in SIDES}
-            if not vals["base"] or len(vals["base"]) != len(vals["change"]):
+            used = [p for p in clean
+                    if all(name in p[s].get("metrics", {}) for s in SIDES)]
+            vals = {s: [p[s]["metrics"][name]["value"] for p in used]
+                    for s in SIDES}
+            if not used:
                 continue
             wins, pct, v = verdict(vals["base"], vals["change"], better, bound)
             verdicts[(workload, name)] = v
@@ -194,6 +200,21 @@ def self_test():
                         "result": line(100 + (10 if i % 2 else -10), 1.0)})
         records.append({"workload": "noisy", "pair": i, "side": "change",
                         "result": line(100 + (-10 if i % 2 else 10), 1.0)})
+    # "mispaired": the change wins every pair by 1 on a steep trend, but
+    # pair 0's base run and pair 1's change run failed and pair 2's change
+    # run is not correct; zipping each side's surviving values would pair
+    # runs of different pairs and lose wins.
+    for i in range(10):
+        for side, value in (("base", 100 + 10 * i), ("change", 101 + 10 * i)):
+            result = line(value, 1.0)
+            if (i, side) in ((0, "base"), (1, "change")):
+                result = {"correct": False, "attempted": 0, "failed": 0,
+                          "metrics": {}}
+            elif (i, side) == (2, "change"):
+                result["correct"] = False
+                result["metrics"]["throughput_per_s"]["value"] = 1e9
+            records.append({"workload": "mispaired", "pair": i, "side": side,
+                            "result": result})
     sink = io.StringIO()
     got = summarize(records, spec, out=sink)
     want = {("fast", "throughput_per_s"): "better",
@@ -216,6 +237,11 @@ def self_test():
         problems.append("a tie counted as a win or a gain")
     if "wins 10/10" not in sink.getvalue():
         problems.append("summary lacks the win count")
+    if "mispaired: 10 pairs, 3 dropped" not in sink.getvalue():
+        problems.append("dropped pairs not reported")
+    mispaired = sink.getvalue().split("mispaired:")[1]
+    if "wins 7/7" not in mispaired.splitlines()[1]:
+        problems.append("failed runs not dropped pairwise")
     print(sink.getvalue(), end="")
     for p in problems:
         print("FAILED: " + p, file=sys.stderr)
@@ -230,19 +256,13 @@ def main():
     parser.add_argument("--workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", default="1")
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--scratch")
     parser.add_argument("--log")
-    parser.add_argument("--analyze")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
     spec = load_spec(git_root())
-    if args.analyze:
-        with open(args.analyze) as f:
-            summarize([json.loads(l) for l in f if l.strip()], spec)
-        return 0
     if not args.base or not args.change:
         parser.error("--base and --change are required")
     scratch = args.scratch or tempfile.mkdtemp(prefix="ccf-ab-")
@@ -255,7 +275,7 @@ def main():
     workloads = (args.workloads.split(",") if args.workloads else
                  [w["name"] for w in spec["workloads"]])
     seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     records = []
     with open(log, "a") as f:
         for workload in workloads:
