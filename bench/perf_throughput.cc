@@ -319,10 +319,9 @@ const HotPathFixture& HotPath() {
 
     // All-collide probes: the whole stream collapses onto TWO keys (one
     // present, one absent) in random order — at most two bucket pairs of
-    // table traffic (fully cache-resident), a degenerate radix-cluster
-    // distribution (two bins), and a ~50% unpredictable present/absent
-    // branch. Isolates the pipeline's non-memory overhead and proves the
-    // kernels on collision-degenerate input.
+    // table traffic (fully cache-resident) and a ~50% unpredictable
+    // present/absent branch. Isolates the pipeline's non-memory overhead
+    // and proves the kernels on collision-degenerate input.
     f->collide_keys.reserve(kHotProbes);
     for (size_t i = 0; i < kHotProbes; ++i) {
       f->collide_keys.push_back(rng.NextBelow(2) == 0 ? 123 : 2 * rows + 1);
@@ -447,7 +446,7 @@ BENCHMARK(BM_HotLookupBatchAllCollide)->Unit(benchmark::kMillisecond);
 
 // Per-batch latency percentiles of the serving hot path: the production
 // metric throughput rows hide. Times every 2048-key LookupBatch sub-batch
-// (the pipeline's block size — one radix-clustered pass each) with a
+// (the pipeline's block size — one pipelined pass each) with a
 // steady clock and reports p50/p99/p999 nanoseconds PER SUB-BATCH as
 // counters; they ride into the JSON rows. keys/s is measured over the
 // same timed region, so this row is comparable with BM_HotLookupBatch

@@ -1,7 +1,6 @@
 #include "bloom/bloom_filter.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -59,26 +58,24 @@ bool BloomFilter::Contains(uint64_t item) const {
 void BloomFilter::ContainsBatch(std::span<const uint64_t> items,
                                 std::span<bool> out) const {
   CCF_DCHECK(out.size() == items.size());
-  // The library-wide two-pass pipeline, clustered by first probe bit so
-  // nearby filter regions are tested back-to-back.
+  // The library-wide two-pass pipeline; the first probe's bit is
+  // prefetched ahead of its test.
   const uint64_t m = bits_.size();
   struct Addr {
-    uint64_t cluster_key;  // first probe's bit index
+    uint64_t first_bit;  // first probe's bit index
     uint64_t h1;
     uint64_t h2;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(m);
   RunBatchPipeline<Addr>(
-      items.size(), options,
+      items.size(), kBatchPipelineBlock,
       [&](size_t i) {
         Addr a;
         a.h1 = hasher_.Hash(items[i], 0);
         a.h2 = hasher_.Hash(items[i], 1) | 1;
-        a.cluster_key = a.h1 % m;
+        a.first_bit = a.h1 % m;
         return a;
       },
-      [&](const Addr& a) { bits_.PrefetchBit(a.cluster_key); },
+      [&](const Addr& a) { bits_.PrefetchBit(a.first_bit); },
       [&](size_t i, const Addr& a) {
         bool hit = true;
         for (int k = 0; k < num_hashes_; ++k) {

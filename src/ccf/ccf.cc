@@ -1,7 +1,6 @@
 #include "ccf/ccf.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <optional>
 
@@ -568,14 +567,11 @@ void MarkedKeyFilter::ContainsBatch(std::span<const uint64_t> keys,
                                     std::span<bool> out) const {
   CCF_DCHECK(out.size() == keys.size());
   struct Addr {
-    uint64_t cluster_key;
     BucketPair pair;
     uint32_t fp;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(table_->bucket_mask());
   RunBatchPipeline<Addr>(
-      keys.size(), options,
+      keys.size(), kBatchPipelineBlock,
       [&](size_t i) {
         Addr a;
         cuckoo_addressing::IndexAndFingerprint(hasher_, keys[i],
@@ -584,7 +580,6 @@ void MarkedKeyFilter::ContainsBatch(std::span<const uint64_t> keys,
                                                &a.pair.primary, &a.fp);
         a.pair.alt = cuckoo_addressing::AltBucket(
             hasher_, a.pair.primary, a.fp, table_->bucket_mask());
-        a.cluster_key = a.pair.primary;
         return a;
       },
       [&](const Addr& a) {

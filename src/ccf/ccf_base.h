@@ -6,7 +6,6 @@
 #define CCF_CCF_CCF_BASE_H_
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
@@ -197,10 +196,10 @@ class CcfBase : public ConditionalCuckooFilter {
 
   /// The write-side twin of the batched lookup hot path, shared by all four
   /// variants: instantiates the library two-wave pipeline over the rows —
-  /// hash a block (or re-mask `hash_memo` on a rebuild), radix-cluster by
-  /// primary bucket, prefetch both buckets of each pair, then wave 1 runs
-  /// the variant's displacement-free placement (TryInsertNoKick: dedupe +
-  /// free-slot writes against cached lines) and wave 2 completes only the
+  /// hash a block (or re-mask `hash_memo` on a rebuild), prefetch both
+  /// buckets of each pair, then wave 1 runs the variant's
+  /// displacement-free placement (TryInsertNoKick: dedupe + free-slot
+  /// writes against cached lines) and wave 2 completes only the
   /// leftovers with the full scalar logic (InsertAddressed: kicks, chain
   /// walks, Bloom conversion). Deterministic: identical inputs (and memo
   /// state) yield bit-identical tables, which is what makes memoized
@@ -230,25 +229,19 @@ class CcfBase : public ConditionalCuckooFilter {
   void BatchResolve(std::span<const uint64_t> keys, std::span<bool> out,
                     Resolver&& resolve) const {
     struct Addr {
-      uint64_t cluster_key;
       BucketPair pair;
       uint32_t fp;
     };
     // One snapshot bind for the whole batch: every prefetch and resolve of
     // this pipeline runs against the same immutable table.
     const BucketTable& table = *table_;
-    BatchPipelineOptions options;
-    // Probes resolve in input order: radix clustering measured slower here
-    // (probe-dram geometry, key-only ~100 vs ~77 ns/key unclustered).
-    options.radix_cluster = false;
     RunBatchPipeline<Addr>(
-        keys.size(), options,
+        keys.size(), kBatchPipelineBlock,
         [&](size_t i) {
           Addr a;
           uint64_t bucket;
           KeyAddress(keys[i], &bucket, &a.fp);
           a.pair = PairOf(bucket, a.fp);
-          a.cluster_key = a.pair.primary;
           return a;
         },
         [&](const Addr& a) {
@@ -572,14 +565,10 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
   BucketTable& table = *table_;
 
   struct Addr {
-    uint64_t cluster_key;
     BucketPair pair;
     uint64_t payload;
     uint32_t fp;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(table.bucket_mask());
-  options.block_size = kInsertBatchBlock;
   const bool prefetch = InsertPrefetches(table.SizeInBits());
   Status first_error = Status::OK();
   // The previous row's key hash and address: the run cache of the address
@@ -588,7 +577,7 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
   BucketPair run_pair{};
   uint32_t run_fp = 0;
   RunBatchPipelineTwoWave<Addr>(
-      keys.size(), options,
+      keys.size(), kInsertBatchBlock,
       [&](size_t i) {
         Addr a;
         // The memo caches the geometry-independent half of the row's hash
@@ -620,7 +609,6 @@ Status CcfBase::InsertBatchWith(std::span<const uint64_t> keys,
         a.pair = run_pair;
         a.fp = run_fp;
         a.payload = payload;
-        a.cluster_key = a.pair.primary;
         return a;
       },
       [&](const Addr& a) {

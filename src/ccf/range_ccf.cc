@@ -312,7 +312,7 @@ Status RangeCcf::ContainsInRangeBatch(std::span<const uint64_t> keys,
                                       std::span<bool> out) const {
   CCF_RETURN_NOT_OK(ValidateLookupBatchShape(keys.size(), 1, out.size()));
   // One broadcast predicate, millions of keys: the inner batch pipeline
-  // radix-clusters and prefetches; the cover was compiled once up front.
+  // prefetches; the cover was compiled once up front.
   return inner_->LookupBatch(keys,
                              std::span<const Predicate>(&pred.pred, 1), out);
 }

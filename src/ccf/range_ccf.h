@@ -11,7 +11,7 @@
 //     ONCE per batch (the same shape as the precompiled Bloom probes of
 //     the equality fast path) and ContainsInRangeBatch feeds the compiled
 //     predicate to the inner filter's broadcast LookupBatch — the
-//     two-pass radix-clustered, prefetched batch pipeline — bit-identical
+//     two-pass prefetched batch pipeline — bit-identical
 //     to a scalar ContainsInRange loop.
 //   * Sharding + live writes: MakeSharded wraps a ShardedCcf, so range
 //     filters inherit epoch-protected snapshot reads and the write-buffer

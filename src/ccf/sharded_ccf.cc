@@ -1,7 +1,6 @@
 #include "ccf/sharded_ccf.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -80,36 +79,23 @@ class ShardedKeyFilter : public KeyFilter {
 // instantiating the library-wide batch pipeline: pass 1 computes each key's
 // shard and (bucket, fp). All shards share one salt, so the raw key hash is
 // computed once and re-masked with the TARGET shard's bucket mask (shards
-// may have different bucket counts after per-shard resizes); the block is
-// then radix-clustered by (shard, bucket) so same-shard probes of nearby
-// buckets resolve back-to-back, both buckets of each pair are prefetched in
-// the target shard, and resolve(index, shard, bucket, fp) runs with the
-// lines (likely) cached.
+// may have different bucket counts after per-shard resizes); both buckets of
+// each pair are prefetched in the target shard, and
+// resolve(index, shard, bucket, fp) runs with the lines (likely) cached.
 template <typename Resolver>
 void ShardedTwoPass(const ShardedCcf& self,
                     std::span<const CcfBase* const> bases,
                     std::span<const uint64_t> keys, Resolver&& resolve) {
   const Hasher& hasher = bases[0]->hasher();
   const int fp_bits = bases[0]->config().key_fp_bits;
-  int max_bucket_bits = 0;
-  for (const CcfBase* base : bases) {
-    max_bucket_bits = std::max(
-        max_bucket_bits,
-        static_cast<int>(std::bit_width(base->table().bucket_mask())));
-  }
   struct Addr {
-    uint64_t cluster_key;
     uint64_t bucket;
     uint64_t alt;
     uint32_t shard;
     uint32_t fp;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits =
-      max_bucket_bits +
-      std::bit_width(static_cast<uint64_t>(self.num_shards() - 1));
   RunBatchPipeline<Addr>(
-      keys.size(), options,
+      keys.size(), kBatchPipelineBlock,
       [&](size_t i) {
         Addr a;
         uint64_t key = keys[i];
@@ -118,8 +104,6 @@ void ShardedTwoPass(const ShardedCcf& self,
         cuckoo_addressing::IndexAndFingerprintFromHash(
             hasher.Hash(key, 0), mask, fp_bits, &a.bucket, &a.fp);
         a.alt = cuckoo_addressing::AltBucket(hasher, a.bucket, a.fp, mask);
-        a.cluster_key =
-            (static_cast<uint64_t>(a.shard) << max_bucket_bits) | a.bucket;
         return a;
       },
       [&](const Addr& a) {
@@ -773,20 +757,7 @@ void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
           expected, true, std::memory_order_acq_rel)) {
     return;  // a resize for this shard is already in flight
   }
-  std::lock_guard<std::mutex> lock(maintenance_mu_);
-  // Opportunistically reap finished futures so the list stays small.
-  maintenance_.erase(
-      std::remove_if(maintenance_.begin(), maintenance_.end(),
-                     [](std::future<Status>& f) {
-                       if (f.wait_for(std::chrono::seconds(0)) ==
-                           std::future_status::ready) {
-                         f.get();
-                         return true;
-                       }
-                       return false;
-                     }),
-      maintenance_.end());
-  maintenance_.push_back(std::async(std::launch::async, [this, s] {
+  LaunchMaintenance([this, s] {
     // The doubling rebuild itself: runs on this background thread, takes
     // the shard's writer mutex (so it serializes AFTER the commit that
     // scheduled it releases the lock), publishes via epoch swap.
@@ -796,7 +767,7 @@ void ShardedCcf::MaybeScheduleWatermarkResize(size_t s, Shard& shard) {
     }
     shards_[s]->resize_scheduled.store(false, std::memory_order_release);
     return st;
-  }));
+  });
 }
 
 void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
@@ -817,19 +788,7 @@ void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
           expected, true, std::memory_order_acq_rel)) {
     return;  // an auto-commit for this shard is already in flight
   }
-  std::lock_guard<std::mutex> lock(maintenance_mu_);
-  maintenance_.erase(
-      std::remove_if(maintenance_.begin(), maintenance_.end(),
-                     [](std::future<Status>& f) {
-                       if (f.wait_for(std::chrono::seconds(0)) ==
-                           std::future_status::ready) {
-                         f.get();
-                         return true;
-                       }
-                       return false;
-                     }),
-      maintenance_.end());
-  maintenance_.push_back(std::async(std::launch::async, [this, s] {
+  LaunchMaintenance([this, s] {
     // Same shape as the watermark-resize task: serialize after the write
     // that scheduled us by taking the shard's writer mutex, commit the
     // overlay into a copy-on-write clone, publish via epoch swap. Staged
@@ -846,7 +805,23 @@ void ShardedCcf::MaybeScheduleAutoCommit(size_t s, Shard& shard) {
     if (st.ok()) num_autocommits_.fetch_add(1, std::memory_order_relaxed);
     shard.commit_scheduled.store(false, std::memory_order_release);
     return st;
-  }));
+  });
+}
+
+void ShardedCcf::LaunchMaintenance(std::function<Status()> task) {
+  std::lock_guard<std::mutex> lock(maintenance_mu_);
+  maintenance_.erase(
+      std::remove_if(maintenance_.begin(), maintenance_.end(),
+                     [](std::future<Status>& f) {
+                       if (f.wait_for(std::chrono::seconds(0)) ==
+                           std::future_status::ready) {
+                         f.get();
+                         return true;
+                       }
+                       return false;
+                     }),
+      maintenance_.end());
+  maintenance_.push_back(std::async(std::launch::async, std::move(task)));
 }
 
 void ShardedCcf::DrainMaintenance() {

@@ -695,6 +695,10 @@ class ShardedCcf : public ConditionalCuckooFilter {
   /// crosses the autocommit size or age trigger; caller holds writer_mu
   /// and has just appended to the overlay.
   void MaybeScheduleAutoCommit(size_t s, Shard& shard);
+  /// Starts `task` on a background thread and keeps its future for
+  /// DrainMaintenance, reaping the futures of finished tasks first so the
+  /// list stays small. Takes maintenance_mu_.
+  void LaunchMaintenance(std::function<Status()> task);
 
   /// Exact reader slow path for a shard whose overlay stages erase records:
   /// staged liveness via the op-aware overlay probe, committed rows via the

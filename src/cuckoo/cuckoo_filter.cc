@@ -1,7 +1,6 @@
 #include "cuckoo/cuckoo_filter.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -152,24 +151,19 @@ Status CuckooFilter::InsertBatch(std::span<const uint64_t> keys) {
   // every key whose pair still has a free slot against prefetched lines;
   // only the leftovers pay the displacement chain in wave 2.
   struct Addr {
-    uint64_t cluster_key;
     uint64_t bucket;
     uint64_t alt;
     uint32_t fp;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(table_.bucket_mask());
-  options.block_size = kInsertBatchBlock;
   const bool prefetch = InsertPrefetches(table_.SizeInBits());
   Status first_error = Status::OK();
   RunBatchPipelineTwoWave<Addr>(
-      keys.size(), options,
+      keys.size(), kInsertBatchBlock,
       [&](size_t i) {
         Addr a;
         IndexAndFingerprint(hasher_, keys[i], table_.bucket_mask(),
                             config_.fingerprint_bits, &a.bucket, &a.fp);
         a.alt = AltBucket(hasher_, a.bucket, a.fp, table_.bucket_mask());
-        a.cluster_key = a.bucket;
         return a;
       },
       [&](const Addr& a) {
@@ -205,25 +199,21 @@ bool CuckooFilter::Contains(uint64_t key) const {
 void CuckooFilter::ContainsBatch(std::span<const uint64_t> keys,
                                  std::span<bool> out) const {
   CCF_DCHECK(out.size() == keys.size());
-  // The library-wide pipeline in its two-wave form: hash, radix-cluster by
-  // primary bucket, prefetch and test primaries; only keys their primary
-  // bucket cannot settle fetch and test the alt bucket in wave 2.
+  // The library-wide pipeline in its two-wave form: hash, prefetch and test
+  // primaries; only keys their primary bucket cannot settle fetch and test
+  // the alt bucket in wave 2.
   struct Addr {
-    uint64_t cluster_key;
     uint64_t bucket;
     uint64_t alt;
     uint32_t fp;
   };
-  BatchPipelineOptions options;
-  options.cluster_bits = std::bit_width(table_.bucket_mask());
   RunBatchPipelineTwoWave<Addr>(
-      keys.size(), options,
+      keys.size(), kBatchPipelineBlock,
       [&](size_t i) {
         Addr a;
         IndexAndFingerprint(hasher_, keys[i], table_.bucket_mask(),
                             config_.fingerprint_bits, &a.bucket, &a.fp);
         a.alt = AltBucket(hasher_, a.bucket, a.fp, table_.bucket_mask());
-        a.cluster_key = a.bucket;
         return a;
       },
       [&](const Addr& a) { table_.PrefetchBucket(a.bucket); },

@@ -86,7 +86,7 @@ class CuckooFilter {
   Status Insert(uint64_t key);
 
   /// Bulk insertion through the two-wave batch pipeline: hash a block,
-  /// radix-cluster by primary bucket, prefetch, place every key whose pair
+  /// prefetch, place every key whose pair
   /// has a free slot in wave 1 (dedupe + write against cached lines) and
   /// run the displacement path only for wave-2 leftovers. Semantically a
   /// loop of Insert (set/multiset semantics and CapacityError carry over);

@@ -32,7 +32,7 @@
 namespace ccf {
 
 /// How chain probes resolve: the batched pipeline (cover compiled once,
-/// keys radix-clustered and prefetched) or the per-key scalar loop.
+/// keys prefetched) or the per-key scalar loop.
 enum class ChainProbeMode { kScalar, kBatched };
 
 struct MultiJoinOptions {

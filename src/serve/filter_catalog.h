@@ -27,7 +27,7 @@
 //
 //   * Cross-request batch aggregation. A CatalogBatcher coalesces
 //     concurrent callers' probes of the same filter into one batched
-//     LookupBatch pass (which radix-clusters and prefetches internally),
+//     LookupBatch pass (which prefetches internally),
 //     recovering batch-pipeline throughput that per-request batch sizes
 //     alone cannot reach. Handoff is a bounded SPSC ring with an inline
 //     fallback, so an uncontended caller pays (almost) nothing.

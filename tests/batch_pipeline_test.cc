@@ -1,8 +1,7 @@
 // Tests for the unified two-pass batch skeleton (util/batch_pipeline.h):
-// radix-clustered execution must be order-identical to the unclustered
-// path from the caller's point of view (out[i] indexed by original
-// position), visit every item exactly once, and keep the clustered visit
-// order grouped by radix bin. Plus an end-to-end differential through a
+// both flavours must resolve every item exactly once, in input order, with
+// the output the scalar reference gives, across the stack/heap, block and
+// interleave-group boundaries. Plus an end-to-end differential through a
 // filter whose batch path instantiates the pipeline.
 #include "util/batch_pipeline.h"
 
@@ -20,24 +19,17 @@ namespace ccf {
 namespace {
 
 struct TestAddr {
-  uint64_t cluster_key;
   uint64_t value;
 };
 
+uint64_t Reference(uint64_t item) { return item * 2 + 1; }
+
 std::vector<uint64_t> RunEcho(const std::vector<uint64_t>& items,
-                              bool cluster, int cluster_bits,
-                              std::vector<size_t>* visit_order,
-                              size_t pipeline_way = 0) {
+                              std::vector<size_t>* visit_order) {
   std::vector<uint64_t> out(items.size());
-  BatchPipelineOptions options;
-  options.cluster_bits = cluster_bits;
-  options.radix_cluster = cluster;
-  options.pipeline_way = pipeline_way;
   RunBatchPipeline<TestAddr>(
-      items.size(), options,
-      [&](size_t i) {
-        return TestAddr{items[i] /* cluster key */, items[i] * 2 + 1};
-      },
+      items.size(), kBatchPipelineBlock,
+      [&](size_t i) { return TestAddr{Reference(items[i])}; },
       [](const TestAddr&) {},
       [&](size_t i, const TestAddr& a) {
         out[i] = a.value;
@@ -46,74 +38,80 @@ std::vector<uint64_t> RunEcho(const std::vector<uint64_t>& items,
   return out;
 }
 
-TEST(BatchPipelineTest, ClusteredOutputIsOrderIdenticalToUnclustered) {
-  Rng rng(42);
-  // Sizes straddle block boundaries: empty, one, partial, exact multiples,
-  // and a large ragged batch.
-  for (size_t n : {size_t{0}, size_t{1}, size_t{17}, kBatchPipelineBlock - 1,
-                   kBatchPipelineBlock, kBatchPipelineBlock + 1,
-                   4 * kBatchPipelineBlock, 4 * kBatchPipelineBlock + 97}) {
-    std::vector<uint64_t> items(n);
-    for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
-    std::vector<size_t> clustered_order;
-    std::vector<uint64_t> clustered =
-        RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20,
-                &clustered_order);
-    std::vector<uint64_t> unclustered =
-        RunEcho(items, /*cluster=*/false, /*cluster_bits=*/20, nullptr);
-    EXPECT_EQ(clustered, unclustered) << "n=" << n;
-    // Every index resolved exactly once.
-    std::vector<size_t> sorted = clustered_order;
-    std::sort(sorted.begin(), sorted.end());
-    ASSERT_EQ(sorted.size(), n);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(sorted[i], i);
+// Batch sizes of the input-order sweeps: 1-9 cover every `n % 4` final
+// strip of the 4-way resolve loop, 127/128/129 the stack-scratch edge,
+// and the rest the boundaries of blocks of `block` items.
+std::vector<size_t> SweepSizes(size_t block) {
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                               kBatchPipelineSmallBatch - 1,
+                               kBatchPipelineSmallBatch,
+                               kBatchPipelineSmallBatch + 1};
+  for (size_t n : {block - 1, block, block + 1, 2 * block + 3}) {
+    sizes.push_back(n);
   }
+  return sizes;
 }
 
-TEST(BatchPipelineTest, ClusteredVisitOrderIsGroupedByKeyRange) {
-  Rng rng(7);
-  std::vector<uint64_t> items(kBatchPipelineBlock);
-  for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 16);
-  std::vector<size_t> order;
-  RunEcho(items, /*cluster=*/true, /*cluster_bits=*/16, &order);
-  // Within one block, the top-6-bit radix bins of the visited keys must be
-  // non-decreasing (stable counting sort by key >> 10).
-  ASSERT_EQ(order.size(), items.size());
-  uint64_t prev_bin = 0;
-  for (size_t idx : order) {
-    uint64_t bin = items[idx] >> 10;
-    EXPECT_GE(bin, prev_bin);
-    prev_bin = bin;
-  }
-}
-
-TEST(BatchPipelineTest, StableWithinBin) {
-  // Equal cluster keys must preserve input order (stable sort), so callers
-  // with order-sensitive side effects keep deterministic behaviour.
-  std::vector<uint64_t> items(kBatchPipelineBlock, 12345);
-  std::vector<size_t> order;
-  RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, &order);
-  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(BatchPipelineTest, SmallBatchStackPathIsEquivalent) {
-  // Batches of n <= kBatchPipelineSmallBatch run on stack scratch; the
-  // boundary must be seamless in both directions.
-  Rng rng(23);
-  for (size_t n : {kBatchPipelineSmallBatch - 1, kBatchPipelineSmallBatch,
-                   kBatchPipelineSmallBatch + 1}) {
+TEST(BatchPipelineTest, InputOrderSweepMatchesReference) {
+  Rng rng(61);
+  for (size_t n : SweepSizes(kBatchPipelineBlock)) {
     std::vector<uint64_t> items(n);
     for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
     std::vector<size_t> order;
-    std::vector<uint64_t> out =
-        RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, &order);
-    ASSERT_EQ(out.size(), n);
+    std::vector<uint64_t> out = RunEcho(items, &order);
+    ASSERT_EQ(order.size(), n) << "n=" << n;
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], items[i] * 2 + 1) << "n=" << n << " i=" << i;
+      EXPECT_EQ(order[i], i) << "n=" << n;
+      EXPECT_EQ(out[i], Reference(items[i])) << "n=" << n << " i=" << i;
     }
-    std::vector<size_t> sorted = order;
-    std::sort(sorted.begin(), sorted.end());
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(sorted[i], i);
+  }
+}
+
+// The same sweep through the two-wave skeleton, at both real block sizes:
+// odd items settle in wave 1 and even items defer. Wave 1 visits every item
+// of a block in input order; wave 2 then visits the block's deferred items
+// in input order, before the next block's wave 1.
+TEST(BatchPipelineTest, TwoWaveInputOrderSweepMatchesReference) {
+  Rng rng(67);
+  for (size_t block : {kBatchPipelineBlock, kInsertBatchBlock}) {
+    for (size_t n : SweepSizes(block)) {
+      std::vector<uint64_t> items(n);
+      for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
+      std::vector<uint64_t> out(n, 0);
+      std::vector<int> resolved(n, 0);
+      std::vector<size_t> order;
+      RunBatchPipelineTwoWave<TestAddr>(
+          n, block, [&](size_t i) { return TestAddr{Reference(items[i])}; },
+          [](const TestAddr&) {},
+          [&](size_t i, TestAddr& a) {
+            order.push_back(i);
+            if (items[i] % 2 == 0) return false;
+            out[i] = a.value;
+            ++resolved[i];
+            return true;
+          },
+          [](const TestAddr&) {},
+          [&](size_t i, const TestAddr& a) {
+            order.push_back(i);
+            out[i] = a.value;
+            ++resolved[i];
+          });
+      std::vector<size_t> expected_order;
+      for (size_t base = 0; base < n; base += block) {
+        const size_t end = std::min(n, base + block);
+        for (size_t i = base; i < end; ++i) expected_order.push_back(i);
+        for (size_t i = base; i < end; ++i) {
+          if (items[i] % 2 == 0) expected_order.push_back(i);
+        }
+      }
+      EXPECT_EQ(order, expected_order) << "block=" << block << " n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], Reference(items[i]))
+            << "block=" << block << " n=" << n << " i=" << i;
+        EXPECT_EQ(resolved[i], 1)
+            << "block=" << block << " n=" << n << " i=" << i;
+      }
+    }
   }
 }
 
@@ -129,11 +127,9 @@ TEST(BatchPipelineTest, TwoWaveResolvesEveryItemExactlyOnceAcrossSizes) {
     std::vector<uint64_t> out(n, 0);
     std::vector<int> resolved(n, 0);
     size_t wave2_prefetches = 0;
-    BatchPipelineOptions options;
-    options.cluster_bits = 20;
     RunBatchPipelineTwoWave<TestAddr>(
-        n, options,
-        [&](size_t i) { return TestAddr{items[i], items[i] * 2 + 1}; },
+        n, kBatchPipelineBlock,
+        [&](size_t i) { return TestAddr{Reference(items[i])}; },
         [](const TestAddr&) {},
         [&](size_t i, TestAddr& a) {
           if (a.value % 4 == 3) {  // item odd → value % 4 == 3
@@ -150,7 +146,7 @@ TEST(BatchPipelineTest, TwoWaveResolvesEveryItemExactlyOnceAcrossSizes) {
         });
     size_t expected_deferred = 0;
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], items[i] * 2 + 1) << "n=" << n << " i=" << i;
+      EXPECT_EQ(out[i], Reference(items[i])) << "n=" << n << " i=" << i;
       EXPECT_EQ(resolved[i], 1) << "n=" << n << " i=" << i;
       if (items[i] % 2 == 0) ++expected_deferred;
     }
@@ -158,147 +154,11 @@ TEST(BatchPipelineTest, TwoWaveResolvesEveryItemExactlyOnceAcrossSizes) {
   }
 }
 
-// The interleave width of the software pipeline is a pure scheduling knob:
-// results and resolve counts must be bit-identical for every N (the issue's
-// N=1 == N=4 == N=8 equivalence, plus the clamp edges 2/16/64) across
-// batch sizes straddling the stack/heap and block boundaries.
-TEST(BatchPipelineTest, PipelineWaySweepIsEquivalent) {
-  Rng rng(61);
-  for (size_t n : {size_t{1}, size_t{17}, kBatchPipelineSmallBatch,
-                   kBatchPipelineBlock - 1, kBatchPipelineBlock,
-                   2 * kBatchPipelineBlock + 13}) {
-    std::vector<uint64_t> items(n);
-    for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
-    std::vector<uint64_t> baseline =
-        RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, nullptr,
-                /*pipeline_way=*/1);
-    for (size_t way : {size_t{2}, size_t{4}, size_t{8}, size_t{16},
-                       size_t{64}}) {
-      std::vector<size_t> order;
-      std::vector<uint64_t> out =
-          RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, &order, way);
-      EXPECT_EQ(out, baseline) << "n=" << n << " way=" << way;
-      std::vector<size_t> sorted = order;
-      std::sort(sorted.begin(), sorted.end());
-      ASSERT_EQ(sorted.size(), n) << "n=" << n << " way=" << way;
-      for (size_t i = 0; i < n; ++i) EXPECT_EQ(sorted[i], i);
-    }
-  }
-}
-
-// Same sweep through the two-wave skeleton (deferred second probes), which
-// has its own interleaved wave-1 loop and deferral bookkeeping.
-TEST(BatchPipelineTest, TwoWavePipelineWaySweepIsEquivalent) {
-  Rng rng(67);
-  for (size_t n : {size_t{5}, kBatchPipelineSmallBatch + 1, kBatchPipelineBlock,
-                   2 * kBatchPipelineBlock + 13}) {
-    std::vector<uint64_t> items(n);
-    for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
-    for (size_t way : {size_t{1}, size_t{4}, size_t{8}, size_t{16}}) {
-      std::vector<uint64_t> out(n, 0);
-      std::vector<int> resolved(n, 0);
-      BatchPipelineOptions options;
-      options.cluster_bits = 20;
-      options.pipeline_way = way;
-      RunBatchPipelineTwoWave<TestAddr>(
-          n, options,
-          [&](size_t i) { return TestAddr{items[i], items[i] * 2 + 1}; },
-          [](const TestAddr&) {},
-          [&](size_t i, TestAddr& a) {
-            if (a.value % 4 == 3) {
-              out[i] = a.value;
-              ++resolved[i];
-              return true;
-            }
-            return false;
-          },
-          [](const TestAddr&) {},
-          [&](size_t i, const TestAddr& a) {
-            out[i] = a.value;
-            ++resolved[i];
-          });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i], items[i] * 2 + 1)
-            << "n=" << n << " way=" << way << " i=" << i;
-        EXPECT_EQ(resolved[i], 1) << "n=" << n << " way=" << way;
-      }
-    }
-  }
-}
-
-// The process-wide override is what calls without an explicit per-call
-// width use; 0 restores the compile-time default.
-TEST(BatchPipelineTest, GlobalPipelineWayOverride) {
-  ASSERT_EQ(BatchPipelineWay(), kBatchPipelineWay);
-  std::vector<uint64_t> items(kBatchPipelineBlock + 7);
-  Rng rng(71);
-  for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
-  std::vector<uint64_t> baseline =
-      RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, nullptr);
-  for (size_t way : {size_t{1}, size_t{8}}) {
-    SetBatchPipelineWay(way);
-    EXPECT_EQ(BatchPipelineWay(), way);
-    std::vector<uint64_t> out =
-        RunEcho(items, /*cluster=*/true, /*cluster_bits=*/20, nullptr);
-    EXPECT_EQ(out, baseline) << "way=" << way;
-  }
-  SetBatchPipelineWay(0);
-  EXPECT_EQ(BatchPipelineWay(), kBatchPipelineWay);
-}
-
-// End-to-end way sweep: LookupBatch answers through a real filter must be
-// identical for every interleave width.
-TEST(BatchPipelineTest, LookupBatchEquivalentAcrossPipelineWays) {
-  CcfConfig config;
-  config.num_buckets = 1 << 9;
-  config.slots_per_bucket = 4;
-  config.key_fp_bits = 12;
-  config.attr_fp_bits = 8;
-  config.num_attrs = 2;
-  config.max_dupes = 3;
-  config.salt = 9;
-  auto ccf =
-      ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();
-  std::vector<uint64_t> attrs(2);
-  for (uint64_t k = 0; k < 900; ++k) {
-    attrs[0] = k % 5;
-    attrs[1] = k % 3;
-    ASSERT_TRUE(ccf->Insert(k, attrs).ok());
-  }
-  Predicate pred = Predicate::Equals(0, 2).AndEquals(1, 1);
-  Rng rng(73);
-  std::vector<uint64_t> keys(kBatchPipelineBlock + 117);
-  for (auto& k : keys) k = rng.NextBelow(1800);
-  std::unique_ptr<bool[]> baseline(new bool[keys.size()]);
-  SetBatchPipelineWay(1);
-  ASSERT_TRUE(ccf->LookupBatch(keys, std::span<const Predicate>(&pred, 1),
-                               std::span<bool>(baseline.get(), keys.size()))
-                  .ok());
-  for (size_t way : {size_t{4}, size_t{8}}) {
-    SetBatchPipelineWay(way);
-    std::unique_ptr<bool[]> out(new bool[keys.size()]);
-    ASSERT_TRUE(ccf->LookupBatch(keys, std::span<const Predicate>(&pred, 1),
-                                 std::span<bool>(out.get(), keys.size()))
-                    .ok());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(out[i], baseline[i]) << "way=" << way << " i=" << i;
-    }
-  }
-  SetBatchPipelineWay(0);
-}
-
-TEST(BatchPipelineTest, DegenerateClusterDomainDisablesClustering) {
-  std::vector<uint64_t> items = {5, 4, 3, 2, 1};
-  std::vector<size_t> order;
-  RunEcho(items, /*cluster=*/true, /*cluster_bits=*/0, &order);
-  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-// End-to-end: the pipeline behind LookupBatch (radix-clustered) must give
-// answers identical to the scalar loop, including on batches that are not
-// block-multiples. The per-variant equivalence is covered exhaustively in
-// batch_lookup_test.cc; this pins the clustered path on a bigger, skewed
-// key mix where many keys share buckets.
+// End-to-end: the pipeline behind LookupBatch must give answers identical
+// to the scalar loop, including on batches that are not block-multiples.
+// The per-variant equivalence is covered exhaustively in
+// batch_lookup_test.cc; this pins the pipeline on a bigger, skewed key mix
+// where many keys share buckets.
 TEST(BatchPipelineTest, ClusteredLookupBatchMatchesScalarContains) {
   CcfConfig config;
   config.num_buckets = 1 << 10;

@@ -5,7 +5,10 @@
 // once-per-run key hashing and the wave-1 saturation skip): any change to slot
 // placement, duplicate collapsing, chain walking or overflow accounting
 // shows up as a digest mismatch. Every inserted row must also answer
-// Contains true (Theorem 3).
+// Contains true (Theorem 3). The InsertBatch digests assume each block
+// resolves its rows in input order; they were taken from an independent
+// build that ran the insert pipeline in input order with the shortcuts in
+// place, not from the code under test.
 //
 // The cases target the duplicate-key chaining paths:
 //  * a RangeCcf anchor over synthetic IMDB title rows (η = 11 label rows
@@ -133,8 +136,8 @@ uint64_t RangeAnchorDigest(uint64_t seed, double scale = 1.0 / 1024,
 }
 
 TEST(ChainedBuildDigestTest, RangeAnchorOverImdbTitle) {
-  const uint64_t kPinned[] = {0xeacf963129e922a7ull, 0x6218170bfb9942fdull,
-                               0x56dfce1d4c5d9c82ull};
+  const uint64_t kPinned[] = {0x28a0df22f182df55ull, 0x31730e847c6b7efaull,
+                               0xe056a39063a19eeeull};
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     EXPECT_EQ(Hex(RangeAnchorDigest(seed)), Hex(kPinned[seed - 1]))
         << "seed " << seed;
@@ -147,7 +150,7 @@ TEST(ChainedBuildDigestTest, RangeAnchorOverImdbTitle) {
 TEST(ChainedBuildDigestTest, RangeAnchorPastPrefetchGate) {
   uint64_t table_bytes = 0;
   EXPECT_EQ(Hex(RangeAnchorDigest(1, 1.0 / 128, &table_bytes)),
-            Hex(0x8bb96b54b0595c9eull));
+            Hex(0xb31b02ca7e814ae3ull));
   EXPECT_TRUE(InsertPrefetches(table_bytes * 8)) << table_bytes;
 }
 
@@ -260,9 +263,9 @@ uint64_t TinyBatchDigest(int max_dupes, uint64_t seed, bool scalar) {
 
 TEST(ChainedBuildDigestTest, SharedPairsAndCycleExtension) {
   EXPECT_EQ(Hex(TinyBatchDigest(1, 5, /*scalar=*/false)),
-            Hex(0xeff46d2e0a68a05cull));
+            Hex(0x8614cd22aeeef607ull));
   EXPECT_EQ(Hex(TinyBatchDigest(2, 6, /*scalar=*/false)),
-            Hex(0xc0b88da1a8f9023aull));
+            Hex(0x579e63d1cddc2b1eull));
 }
 
 TEST(ChainedBuildDigestTest, ScalarInsertSharedPairs) {
@@ -408,9 +411,11 @@ uint64_t SaturatedBeforeRunDigest(bool split) {
   return Digest(filter->Serialize());
 }
 
+// Both runs place every row in input order, so the one batch and the split
+// batches build the same table and share one digest.
 TEST(ChainedBuildDigestTest, PairSaturatedByAnotherKeyBeforeRun) {
   EXPECT_EQ(Hex(SaturatedBeforeRunDigest(/*split=*/false)),
-            Hex(0xa913b177ccb0e141ull));
+            Hex(0xa17ecb4caf208684ull));
   EXPECT_EQ(Hex(SaturatedBeforeRunDigest(/*split=*/true)),
             Hex(0xa17ecb4caf208684ull));
 }
@@ -437,7 +442,7 @@ TEST(ChainedBuildDigestTest, EqualKeysNotAdjacent) {
       ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();
   ASSERT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
   ExpectAllRowsPresent(*filter, rows);
-  EXPECT_EQ(Hex(Digest(filter->Serialize())), Hex(0x1b3cef38a127f1b5ull));
+  EXPECT_EQ(Hex(Digest(filter->Serialize())), Hex(0x7be099a40d83e1a8ull));
 }
 
 // Wave 1 may skip a row only for the exact saturated (first pair, fp): a
@@ -552,7 +557,7 @@ TEST(ChainedBuildDigestTest, ShardedMemoizedDoublingRebuild) {
   ASSERT_TRUE(sharded->InsertParallel(rows.keys, rows.flat_attrs).ok());
   EXPECT_GE(sharded->num_resizes(), 4u);
   ExpectAllRowsPresent(*sharded, rows);
-  EXPECT_EQ(Hex(Digest(sharded->Serialize())), Hex(0x67d6ac965da09fc6ull));
+  EXPECT_EQ(Hex(Digest(sharded->Serialize())), Hex(0x06b2122c4728fba9ull));
 }
 
 // --- Case 4: wide slots (no packed payload word) -----------------------------
@@ -572,7 +577,7 @@ TEST(ChainedBuildDigestTest, WideSlotsBatchAndScalar) {
   ASSERT_EQ(static_cast<const ChainedCcf&>(*batch).table().slot_bits(), 84);
   ASSERT_TRUE(batch->InsertBatch(rows.keys, rows.flat_attrs).ok());
   ExpectAllRowsPresent(*batch, rows);
-  EXPECT_EQ(Hex(Digest(batch->Serialize())), Hex(0x3179a12e258e6014ull));
+  EXPECT_EQ(Hex(Digest(batch->Serialize())), Hex(0x464bbfb9d8708cb0ull));
 
   auto scalar =
       ConditionalCuckooFilter::Make(CcfVariant::kChained, config).ValueOrDie();

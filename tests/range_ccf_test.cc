@@ -18,7 +18,6 @@
 #include "ccf/sharded_ccf.h"
 #include "predicate/dyadic.h"
 #include "serve/filter_catalog.h"
-#include "util/batch_pipeline.h"
 #include "util/file_io.h"
 #include "util/random.h"
 
@@ -111,15 +110,10 @@ std::vector<uint64_t> MakeProbes(size_t n, uint64_t seed) {
   return probes;
 }
 
-class RangeBatchDifferentialTest : public ::testing::TestWithParam<CcfVariant> {
- protected:
-  void TearDown() override { SetBatchPipelineWay(0); }
-};
+class RangeBatchDifferentialTest : public ::testing::TestWithParam<CcfVariant> {};
 
 // The tentpole invariant: one compiled cover broadcast through the batch
-// pipeline answers exactly like the per-key scalar loop, across pipeline
-// interleave widths. (The bucket kernel is a single portable one, so the
-// former SIMD-tier axis of this sweep has one point.)
+// pipeline answers exactly like the per-key scalar loop.
 TEST_P(RangeBatchDifferentialTest, BatchedMatchesScalarAcrossTiersAndWays) {
   RangeRows rows = MakeRows(3000, 11);
   auto filter = RangeCcf::Make(GetParam(), RangeConfig(29), kRangeAttr,
@@ -127,11 +121,7 @@ TEST_P(RangeBatchDifferentialTest, BatchedMatchesScalarAcrossTiersAndWays) {
                     .ValueOrDie();
   ASSERT_TRUE(filter->InsertBatch(rows.keys, rows.flat_attrs).ok());
   std::vector<uint64_t> probes = MakeProbes(4000, 13);
-
-  for (size_t way : {size_t{1}, size_t{2}, size_t{8}}) {
-    SetBatchPipelineWay(way);
-    ExpectBatchedMatchesScalar(*filter, probes, "bulk");
-  }
+  ExpectBatchedMatchesScalar(*filter, probes, "bulk");
 }
 
 // Sharded inner: staged (uncommitted) rows must be visible to range probes

@@ -2,10 +2,8 @@
 // stay bit-identical to the scalar paths under the workload SHAPES that
 // stress their scheduling — Zipf-skewed keys (hot buckets revisited within
 // one interleave group), all-miss probes (every resolve takes the
-// empty-mask early exit), and all-collide probes (two keys, degenerate
-// radix distribution, maximally contended buckets). Each shape runs across
-// all four CCF variants, and the chained variant additionally sweeps the
-// pipeline way so interleave width is proven independent of workload skew.
+// empty-mask early exit), and all-collide probes (two keys, maximally
+// contended buckets). Each shape runs across all four CCF variants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,37 +99,25 @@ TEST(WorkloadStressTest, SkewedAndAdversarialMixesMatchScalarAllVariants) {
   }
 }
 
-// The way grid on the chained variant: interleave width must not interact
-// with workload skew. Each grid point re-checks all three mixes against the
-// scalar reference. (The bucket kernel is a single portable one, so the
-// grid's former SIMD-tier axis has one point.)
+// The chained variant on a batch that crosses one block boundary: all three
+// mixes against the scalar reference.
 TEST(WorkloadStressTest, ChainedTierByWayGridMatchesScalar) {
-  struct WayGuard {
-    ~WayGuard() { SetBatchPipelineWay(0); }
-  } guard;
   const size_t n = kBatchPipelineBlock + 191;
   Predicate pred = Predicate::Equals(0, 4).AndEquals(1, 2);
   auto ccf = BuildFilter(CcfVariant::kChained);
   const std::vector<uint64_t> zipf = ZipfKeys(n, 211);
   const std::vector<uint64_t> miss = AllMissKeys(n, 223);
   const std::vector<uint64_t> collide = AllCollideKeys(n, 227);
-  for (size_t way : {size_t{1}, size_t{4}, size_t{8}}) {
-    SetBatchPipelineWay(way);
-    SCOPED_TRACE(testing::Message() << "way=" << way);
-    ExpectBatchedMatchesScalar(*ccf, zipf, pred);
-    ExpectBatchedMatchesScalar(*ccf, miss, pred);
-    ExpectBatchedMatchesScalar(*ccf, collide, pred);
-  }
+  ExpectBatchedMatchesScalar(*ccf, zipf, pred);
+  ExpectBatchedMatchesScalar(*ccf, miss, pred);
+  ExpectBatchedMatchesScalar(*ccf, collide, pred);
 }
 
-// InsertBatch under skew: the two-wave pipelined insert path (clustered,
-// interleaved, deferred second-bucket wave) must build a filter with no
-// false negatives and batched==scalar lookup agreement, even when the
-// batch hammers duplicate keys up to max_dupes.
+// InsertBatch under skew: the two-wave pipelined insert path (interleaved,
+// deferred second-bucket wave) must build a filter with no false negatives
+// and batched==scalar lookup agreement, even when the batch hammers
+// duplicate keys up to max_dupes.
 TEST(WorkloadStressTest, PipelinedInsertBatchUnderSkewServesAllRows) {
-  struct WayGuard {
-    ~WayGuard() { SetBatchPipelineWay(0); }
-  } guard;
   Rng rng(307);
   // Skewed row ids with repeats (max_dupes = 3 in TestConfig).
   std::vector<uint64_t> keys;
@@ -146,23 +132,18 @@ TEST(WorkloadStressTest, PipelinedInsertBatchUnderSkewServesAllRows) {
     flat_attrs.push_back(k % 13);
     flat_attrs.push_back(k % 7);
   }
-  for (size_t way : {size_t{1}, size_t{8}}) {
-    SetBatchPipelineWay(way);
-    SCOPED_TRACE(testing::Message() << "way=" << way);
-    auto ccf =
-        ConditionalCuckooFilter::Make(CcfVariant::kChained, TestConfig())
-            .ValueOrDie();
-    ASSERT_TRUE(ccf->InsertBatch(keys, flat_attrs).ok());
-    // No false negatives on exact-row membership.
-    for (size_t i = 0; i < keys.size(); ++i) {
-      std::vector<uint64_t> attrs = {keys[i] % 13, keys[i] % 7};
-      EXPECT_TRUE(ccf->ContainsRow(keys[i], attrs)) << "row " << keys[i];
-    }
-    // Batched and scalar lookups agree on the built filter.
-    Predicate pred = Predicate::Equals(0, 4).AndEquals(1, 2);
-    ExpectBatchedMatchesScalar(*ccf, ZipfKeys(kBatchPipelineBlock + 33, 311),
-                               pred);
+  auto ccf = ConditionalCuckooFilter::Make(CcfVariant::kChained, TestConfig())
+                 .ValueOrDie();
+  ASSERT_TRUE(ccf->InsertBatch(keys, flat_attrs).ok());
+  // No false negatives on exact-row membership.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::vector<uint64_t> attrs = {keys[i] % 13, keys[i] % 7};
+    EXPECT_TRUE(ccf->ContainsRow(keys[i], attrs)) << "row " << keys[i];
   }
+  // Batched and scalar lookups agree on the built filter.
+  Predicate pred = Predicate::Equals(0, 4).AndEquals(1, 2);
+  ExpectBatchedMatchesScalar(*ccf, ZipfKeys(kBatchPipelineBlock + 33, 311),
+                             pred);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
     python3 tools/ab_compare.py --base HEAD~1 --change HEAD \\
         [--workloads probe-dram,fleet-zipf] [--pairs 10] [--seeds 1,2] \\
         [--scratch DIR] [--log FILE]
+    python3 tools/ab_compare.py --base HEAD~1 --change HEAD \\
+        --disasm ccf::ChainedCcf::WalkChainFrom [--scratch DIR]
     python3 tools/ab_compare.py --self-test
 
 Run it from inside the repository. Each revision is exported with
@@ -24,14 +26,27 @@ percent (positive = better), and a verdict:
   worse       the change's median is worse by more than the metric's bound;
   unresolved  anything else (within the bound, or not shown better).
 Only pairs whose two runs are both correct with no failed operations enter
-the statistics; the others are counted and reported as dropped. Only the
-python3 standard library is used; nothing under perfbench/ is changed.
+the statistics; the others are counted and reported as dropped.
+
+--disasm SYMBOL runs nothing: it builds each side's libccf_core.a, takes
+the `objdump -d -C --no-show-raw-insn` body of every function whose
+demangled name holds SYMBOL followed by "(" or "<" (all template
+instantiations and [clone] parts), and prints one md5 per side over those
+bodies, each function's md5, and whether the sides are identical.
+Instruction addresses are dropped before hashing, and so are the names of
+targets outside the function, so a function that only moved within its
+object file, or whose neighbours changed, hashes the same.
+
+Only the python3 standard library is used; nothing under perfbench/ is
+changed.
 """
 import argparse
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -69,19 +84,98 @@ def side_env(tree):
     return env
 
 
-def build(tree):
+def build(tree, targets=("perfbench", "perfbench_unit")):
     """Builds the side's benchmark the way run.py does, so timed runs only
-    run an up-to-date build."""
+    run an up-to-date build. Returns the build directory."""
     out = os.path.join(tree, ".bench_build", "perfbench")
     steps = []
     if not os.path.exists(os.path.join(out, "CMakeCache.txt")):
         steps.append(["cmake", "-S", os.path.join(tree, "perfbench"), "-B",
                       out, "-DCMAKE_BUILD_TYPE=Release"])
-    steps.append(["cmake", "--build", out, "-j", "4", "--target",
-                  "perfbench", "perfbench_unit"])
+    steps.append(["cmake", "--build", out, "-j", "4", "--target"] +
+                 list(targets))
     for cmd in steps:
         if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr).returncode:
             sys.exit("ab_compare: build failed in %s" % tree)
+    return out
+
+
+ADDRESS = re.compile(r"^\s*[0-9a-f]+:\t")
+TARGET = re.compile(r"\b[0-9a-f]+ <(.*)>$")
+
+
+def normalize(line, header):
+    """An instruction without its address and its target's address. A
+    target inside the function keeps only its offset; any other target
+    reads <elsewhere>: in an unlinked object a call's label names whatever
+    follows the call site, often a neighbouring function."""
+    line = ADDRESS.sub("", line)
+    target = TARGET.search(line)
+    if target:
+        label = target.group(1)
+        offset = label[len(header):]
+        inside = label.startswith(header) and (
+            not offset or offset.startswith("+0x"))
+        line = line[:target.start()] + (
+            "<%s>" % offset if inside else "<elsewhere>")
+    return line
+
+
+def disasm_bodies(text, symbol):
+    """{"object: function header": normalized body lines} of every function
+    in objdump -d output `text` whose name holds `symbol` followed by "("
+    or "<". A body runs from its header line to the next blank line; each
+    line is normalized as described in normalize()."""
+    name = re.compile(r"(^|[ <])" + re.escape(symbol) + r"[(<]")
+    bodies = {}
+    obj = ""
+    header = body = None
+    for line in text.splitlines():
+        if "file format" in line and line.split(":")[0].endswith(".o"):
+            obj = line.split(":")[0]
+        elif line.endswith(">:") and " <" in line:
+            header = line[line.index(" <") + 2:-2]
+            body = None
+            if name.search(header):
+                body = bodies.setdefault("%s: %s" % (obj, header), [])
+        elif not line.strip():
+            body = None
+        elif body is not None:
+            body.append(normalize(line, header))
+    return bodies
+
+
+def md5_lines(lines):
+    return hashlib.md5("\n".join(lines).encode()).hexdigest()
+
+
+def disasm_digest(bodies):
+    """One md5 over every function's name and body, in name order."""
+    lines = []
+    for header in sorted(bodies):
+        lines.append(header)
+        lines.extend(bodies[header])
+    return md5_lines(lines)
+
+
+def disasm(trees, symbol, out=sys.stdout):
+    """Prints both sides' digests of `symbol`; returns 0 if identical."""
+    digests = {}
+    for side in SIDES:
+        lib = os.path.join(build(trees[side], ("ccf_core",)), "libccf_core.a")
+        text = subprocess.run(["objdump", "-d", "-C", "--no-show-raw-insn",
+                               lib], stdout=subprocess.PIPE, text=True,
+                              check=True).stdout
+        bodies = disasm_bodies(text, symbol)
+        digests[side] = disasm_digest(bodies) if bodies else None
+        print("%-6s %s  %d functions" % (side, digests[side], len(bodies)),
+              file=out)
+        for header in sorted(bodies):
+            print("         %s  %s" % (md5_lines(bodies[header]), header),
+                  file=out)
+    same = digests["base"] is not None and digests["base"] == digests["change"]
+    print("%s: %s" % (symbol, "identical" if same else "DIFFERENT"), file=out)
+    return 0 if same else 1
 
 
 def run_once(tree, workload, seed, seconds):
@@ -242,11 +336,80 @@ def self_test():
     mispaired = sink.getvalue().split("mispaired:")[1]
     if "wins 7/7" not in mispaired.splitlines()[1]:
         problems.append("failed runs not dropped pairwise")
+    problems.extend(disasm_self_test())
     print(sink.getvalue(), end="")
     for p in problems:
         print("FAILED: " + p, file=sys.stderr)
     print("self-test %s" % ("FAILED" if problems else "ok"))
     return 1 if problems else 0
+
+
+DISASM_A = """
+x.o:     file format elf64-x86-64
+
+Disassembly of section .text:
+
+0000000000000000 <ccf::Walk(int)>:
+   0:\tmov    %edi,%eax
+   2:\tjne    9 <ccf::Walk(int)+0x9>
+   4:\tret
+
+0000000000000010 <ccf::WalkAll(int)>:
+  10:\tret
+
+0000000000000020 <bool ccf::Walk<ccf::Lambda>(int) const>:
+  20:\tcall   25 <bool ccf::Walk<ccf::Lambda>(int) const+0x5>
+  25:\tret
+  26:\tcall   2b <ccf::Next(ccf::Options const&)>
+
+000000000000002b <ccf::Next(ccf::Options const&)>:
+  2b:\tret
+
+Disassembly of section .text.unlikely:
+
+0000000000000000 <ccf::Walk(int) [clone .cold]>:
+   0:\tud2
+"""
+
+
+def disasm_self_test():
+    """Body extraction and hashing over canned objdump output; returns the
+    problems found."""
+    problems = []
+    bodies = disasm_bodies(DISASM_A, "ccf::Walk")
+    if sorted(bodies) != ["x.o: bool ccf::Walk<ccf::Lambda>(int) const",
+                          "x.o: ccf::Walk(int)",
+                          "x.o: ccf::Walk(int) [clone .cold]"]:
+        problems.append("disasm: wrong functions matched %s" % sorted(bodies))
+    if bodies.get("x.o: ccf::Walk(int)") != ["mov    %edi,%eax",
+                                             "jne    <+0x9>", "ret"]:
+        problems.append("disasm: body not cut or normalized %s"
+                        % bodies.get("x.o: ccf::Walk(int)"))
+    # The same code placed at other addresses hashes the same; one changed
+    # instruction does not.
+    moved = DISASM_A.replace("0000000000000000 <ccf::Walk(int)>:",
+                             "0000000000000040 <ccf::Walk(int)>:").replace(
+        "   0:\tmov", "  40:\tmov").replace("   2:\tjne    9 ",
+                                            "  42:\tjne    49 ")
+    changed = DISASM_A.replace("mov    %edi,%eax", "mov    %esi,%eax")
+    # A neighbour's new signature changes only a label outside the function.
+    neighbour = DISASM_A.replace("ccf::Next(ccf::Options const&)",
+                                 "ccf::Next(int)")
+    digest = disasm_digest(bodies)
+    if disasm_digest(disasm_bodies(moved, "ccf::Walk")) != digest:
+        problems.append("disasm: a moved function hashed differently")
+    # The same function emitted by two objects is kept once per object.
+    twice = DISASM_A + DISASM_A.replace("x.o:", "y.o:")
+    if len(disasm_bodies(twice, "ccf::Walk")) != 6:
+        problems.append("disasm: one object's copy overwrote another's")
+    if disasm_digest(disasm_bodies(neighbour, "ccf::Walk")) != digest:
+        problems.append("disasm: a neighbour's name changed the hash")
+    if disasm_digest(disasm_bodies(changed, "ccf::Walk")) == digest:
+        problems.append("disasm: a changed instruction hashed the same")
+    if digest != md5_lines([line for h in sorted(bodies)
+                            for line in [h] + bodies[h]]):
+        problems.append("disasm: digest is not the md5 of the bodies")
+    return problems
 
 
 def main():
@@ -258,6 +421,7 @@ def main():
     parser.add_argument("--seeds", default="1")
     parser.add_argument("--scratch")
     parser.add_argument("--log")
+    parser.add_argument("--disasm", metavar="SYMBOL")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
@@ -270,6 +434,8 @@ def main():
     log = args.log or os.path.join(scratch, "ab_log.jsonl")
     trees = {"base": export(args.base, scratch, "base"),
              "change": export(args.change, scratch, "change")}
+    if args.disasm:
+        return disasm(trees, args.disasm)
     for side in SIDES:
         build(trees[side])
     workloads = (args.workloads.split(",") if args.workloads else
