@@ -38,8 +38,8 @@ std::vector<uint64_t> RunEcho(const std::vector<uint64_t>& items,
   return out;
 }
 
-// Batch sizes of the input-order sweeps: 1-9 cover every `n % 4` final
-// strip of the 4-way resolve loop, 127/128/129 the stack-scratch edge,
+// Batch sizes of the two-wave input-order sweep: 1-9 cover every `n % 4`
+// final strip of the 4-way resolve loop, 127/128/129 the stack-scratch edge,
 // and the rest the boundaries of blocks of `block` items.
 std::vector<size_t> SweepSizes(size_t block) {
   std::vector<size_t> sizes = {1, 2, 3, 4, 5, 6, 7, 8, 9,
@@ -52,18 +52,62 @@ std::vector<size_t> SweepSizes(size_t block) {
   return sizes;
 }
 
-TEST(BatchPipelineTest, InputOrderSweepMatchesReference) {
+// Every item of `items` resolves exactly once, in input order, with the
+// scalar reference's output.
+void ExpectInputOrderEcho(const std::vector<uint64_t>& items) {
+  const size_t n = items.size();
+  std::vector<size_t> order;
+  std::vector<uint64_t> out = RunEcho(items, &order);
+  ASSERT_EQ(order.size(), n) << "n=" << n;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(order[i], i) << "n=" << n;
+    EXPECT_EQ(out[i], Reference(items[i])) << "n=" << n << " i=" << i;
+  }
+}
+
+std::vector<uint64_t> RandomItems(Rng& rng, size_t n) {
+  std::vector<uint64_t> items(n);
+  for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
+  return items;
+}
+
+// Batches no longer reorder: the output a batch writes at out[i] is the
+// scalar pass's output for item i, visited in input order, at sizes that
+// straddle block boundaries (empty, one, partial, exact multiples and a
+// large ragged batch).
+TEST(BatchPipelineTest, ClusteredOutputIsOrderIdenticalToUnclustered) {
+  Rng rng(42);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{17}, kBatchPipelineBlock - 1,
+                   kBatchPipelineBlock, kBatchPipelineBlock + 1,
+                   4 * kBatchPipelineBlock, 4 * kBatchPipelineBlock + 97}) {
+    ExpectInputOrderEcho(RandomItems(rng, n));
+  }
+}
+
+TEST(BatchPipelineTest, StableWithinBin) {
+  // Equal items must keep input order, so callers with order-sensitive side
+  // effects keep deterministic behaviour.
+  ExpectInputOrderEcho(std::vector<uint64_t>(kBatchPipelineBlock, 12345));
+}
+
+TEST(BatchPipelineTest, SmallBatchStackPathIsEquivalent) {
+  // Batches of n <= kBatchPipelineSmallBatch run on stack scratch; the
+  // boundary must be seamless in both directions.
+  Rng rng(23);
+  for (size_t n : {kBatchPipelineSmallBatch - 1, kBatchPipelineSmallBatch,
+                   kBatchPipelineSmallBatch + 1}) {
+    ExpectInputOrderEcho(RandomItems(rng, n));
+  }
+}
+
+// The resolve loop interleaves a fixed 4 items: sizes 1-9 end on every
+// `n % 4` final strip, and the larger sizes on strips after a full block.
+TEST(BatchPipelineTest, PipelineWaySweepIsEquivalent) {
   Rng rng(61);
-  for (size_t n : SweepSizes(kBatchPipelineBlock)) {
-    std::vector<uint64_t> items(n);
-    for (auto& v : items) v = rng.NextBelow(uint64_t{1} << 20);
-    std::vector<size_t> order;
-    std::vector<uint64_t> out = RunEcho(items, &order);
-    ASSERT_EQ(order.size(), n) << "n=" << n;
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(order[i], i) << "n=" << n;
-      EXPECT_EQ(out[i], Reference(items[i])) << "n=" << n << " i=" << i;
-    }
+  for (size_t n = 1; n <= 9; ++n) ExpectInputOrderEcho(RandomItems(rng, n));
+  for (size_t n : {kBatchPipelineBlock + 1, kBatchPipelineBlock + 2,
+                   kBatchPipelineBlock + 3, 2 * kBatchPipelineBlock + 13}) {
+    ExpectInputOrderEcho(RandomItems(rng, n));
   }
 }
 
